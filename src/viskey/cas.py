@@ -9,6 +9,7 @@ through the denoise/segment/classify pipeline and compares strings.
 from __future__ import annotations
 
 import logging
+import re
 import socket
 import socketserver
 import threading
@@ -204,6 +205,18 @@ class CasState:
             self._records[record.group_id] = record
 
 
+USAGE = {
+    "CREATE": "CREATE <group_id> <n> <key_len> <seed>",
+    "FETCH": "FETCH <group_id> <member>",
+    "SUBMIT": "SUBMIT <group_id> <member> <nbytes>",
+    "AUTH": "AUTH <group_id>",
+    "RESET": "RESET <group_id>",
+}
+
+# group ids name directories under the state dir: no separators, no dots
+GROUP_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+
 class ProtocolError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -239,11 +252,26 @@ class _Handler(socketserver.StreamRequestHandler):
         if not parts:
             raise ProtocolError("empty", "empty request")
         cmd, args = parts[0].upper(), parts[1:]
+        usage = USAGE.get(cmd)
+        if usage is None:
+            raise ProtocolError("unknown", f"unknown command {cmd}")
+        if len(args) != len(usage.split()) - 1:
+            raise ProtocolError("usage", usage)
+        gid = args[0]
+        try:
+            nums = [int(v) for v in args[1:]]
+        except ValueError:
+            raise ProtocolError("usage", usage) from None
+        if cmd == "SUBMIT":
+            if nums[1] < 0:
+                raise ProtocolError("usage", usage)
+            # read the payload before any other check so the stream stays in step
+            data = self._read_exact(nums[1])
+        if not GROUP_ID.fullmatch(gid):
+            raise ProtocolError("usage", f"group id must match {GROUP_ID.pattern}")
 
         if cmd == "CREATE":
-            if len(args) != 4:
-                raise ProtocolError("usage", "CREATE <group_id> <n> <key_len> <seed>")
-            gid, n, key_len, seed = args[0], int(args[1]), int(args[2]), int(args[3])
+            n, key_len, seed = nums
             with state.lock_for(gid):
                 if state.get(gid) is not None:
                     raise ProtocolError("exists", f"group {gid} already exists")
@@ -256,9 +284,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"OK {gid} {n}", b""
 
         if cmd == "FETCH":
-            if len(args) != 2:
-                raise ProtocolError("usage", "FETCH <group_id> <member>")
-            gid, member = args[0], int(args[1])
+            (member,) = nums
             record = state.get(gid)
             if record is None:
                 raise ProtocolError("unknowngroup", f"no group {gid}")
@@ -275,10 +301,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"SHARE {gid} {member} {len(payload)}", payload
 
         if cmd == "SUBMIT":
-            if len(args) != 3:
-                raise ProtocolError("usage", "SUBMIT <group_id> <member> <nbytes>")
-            gid, member, nbytes = args[0], int(args[1]), int(args[2])
-            data = self._read_exact(nbytes)
+            member = nums[0]
             record = state.get(gid)
             if record is None:
                 raise ProtocolError("unknowngroup", f"no group {gid}")
@@ -295,9 +318,6 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"ACCEPTED {count}", b""
 
         if cmd == "AUTH":
-            if len(args) != 1:
-                raise ProtocolError("usage", "AUTH <group_id>")
-            gid = args[0]
             record = state.get(gid)
             if record is None:
                 raise ProtocolError("unknowngroup", f"no group {gid}")
@@ -308,22 +328,17 @@ class _Handler(socketserver.StreamRequestHandler):
                 return f"GRANTED {gid}", b""
             return f"DENIED {gid} {decision.reason}", b""
 
-        if cmd == "RESET":
-            if len(args) != 1:
-                raise ProtocolError("usage", "RESET <group_id>")
-            gid = args[0]
-            record = state.get(gid)
-            if record is None:
-                raise ProtocolError("unknowngroup", f"no group {gid}")
-            with state.lock_for(gid):
-                record.submissions.clear()
-                record.status = PENDING
-                for p in (state.state_dir / gid).glob("submission_*.pbm"):
-                    p.unlink()
-                save_record(record, state.state_dir)
-            return "OK", b""
-
-        raise ProtocolError("unknown", f"unknown command {cmd}")
+        # RESET, the one verb left
+        record = state.get(gid)
+        if record is None:
+            raise ProtocolError("unknowngroup", f"no group {gid}")
+        with state.lock_for(gid):
+            record.submissions.clear()
+            record.status = PENDING
+            for p in (state.state_dir / gid).glob("submission_*.pbm"):
+                p.unlink()
+            save_record(record, state.state_dir)
+        return "OK", b""
 
 
 class CasServer(socketserver.ThreadingTCPServer):

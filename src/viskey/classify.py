@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,16 @@ class Model:
         """Leave-one-font-out view of the same trained model."""
         kept = tuple(s for s in self.samples if not s.source_id.endswith(f"_{font_id}"))
         return Model(kept, self.scheme_n, self.feature_len)
+
+    @cached_property
+    def feature_matrix(self) -> np.ndarray:
+        """One row of features per sample, built once per model."""
+        return np.stack([s.features for s in self.samples])
+
+    @cached_property
+    def label_ranks(self) -> np.ndarray:
+        """Alphabet position of each sample's label, the 1-NN tie rule."""
+        return np.array([ALPHABET.index(s.label) for s in self.samples])
 
 
 def euclidean_distance(a, b) -> float:
@@ -108,12 +119,8 @@ def classify_1nn(x, model: Model):
     if not model.samples:
         raise ValueError("empty model")
     x = np.asarray(x, dtype=float)
-    mat = np.stack([s.features for s in model.samples])
-    dists = np.sqrt(np.sum((mat - x) ** 2, axis=1))
-    best = min(
-        range(len(dists)),
-        key=lambda i: (dists[i], ALPHABET.index(model.samples[i].label), i),
-    )
+    dists = np.sqrt(np.sum((model.feature_matrix - x) ** 2, axis=1))
+    best = np.lexsort((np.arange(len(dists)), model.label_ranks, dists))[0]
     return model.samples[best].label, float(dists[best])
 
 

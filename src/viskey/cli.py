@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import cas, classify, vcs
 from .bitimage import downsample_majority, read_pbm, write_pbm
-from .denoise import FilterParams, adaptive_filter, default_params
+from .denoise import adaptive_filter, default_params
 from .font import default_corpus_dir
 from .ocr import extract_features, normalize_glyph, segment
 
@@ -26,26 +27,18 @@ def _write(path, img, variant):
 
 
 def _filter_params(args, params=None):
+    """The scheme's filter parameters, or without a scheme the 2-of-2
+    cutoffs in pixel mode, with the command-line overrides applied."""
     if params is not None:
         fp = default_params(params)
     else:
-        fp = FilterParams(2 / 3, 5 / 6)
-    overrides = {}
-    if args.white_cutoff is not None:
-        overrides["white_cutoff"] = args.white_cutoff
-    if args.black_cutoff is not None:
-        overrides["black_cutoff"] = args.black_cutoff
-    if args.max_window is not None:
-        overrides["max_window"] = args.max_window
-    if overrides:
-        fp = FilterParams(
-            overrides.get("white_cutoff", fp.white_cutoff),
-            overrides.get("black_cutoff", fp.black_cutoff),
-            fp.initial_window,
-            overrides.get("max_window", fp.max_window),
-            fp.growth_step,
-        )
-    return fp
+        fp = replace(default_params(vcs.scheme_params(2)), blocks=None)
+    overrides = {
+        name: value
+        for name in ("white_cutoff", "black_cutoff", "max_window")
+        if (value := getattr(args, name)) is not None
+    }
+    return replace(fp, **overrides)
 
 
 def _add_filter_flags(sp):

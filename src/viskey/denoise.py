@@ -1,6 +1,13 @@
-"""Adaptive windowed black-ratio filter for OR-stacked share images.
+"""Filter for OR-stacked share images: exact block counts, windowed fallback.
 
-Per pixel, the black ratio of a window clipped to the image is compared
+Block mode: in a clean stack of two shares, the number of black subpixels in
+a block is one of a few legal weights, and the weight alone tells white from
+black (the contrast property of the scheme). A block with a legal count
+becomes solid white or solid black; only blocks with any other count (noise)
+take the windowed filter's output.
+
+Pixel mode (no block geometry, or an image that does not tile into blocks):
+per pixel, the black ratio of a window clipped to the image is compared
 against two cutoffs: below the white cutoff the pixel becomes white, above
 the black cutoff it becomes black, and in between the window grows until the
 upper size limit; a pixel that is still undecided keeps its input value.
@@ -18,12 +25,33 @@ from .vcs import TWO_OF_TWO, SchemeParams
 
 
 @dataclass(frozen=True)
+class BlockWeights:
+    """Block geometry and the black-subpixel counts a clean stacked block of
+    each colour can have."""
+
+    block_h: int
+    block_w: int
+    white: tuple
+    black: tuple
+
+    def __post_init__(self):
+        if self.block_h < 1 or self.block_w < 1:
+            raise ValueError(f"block must be at least 1x1, got {self.block_h}x{self.block_w}")
+        legal = range(self.block_h * self.block_w + 1)
+        if not all(c in legal for c in self.white + self.black):
+            raise ValueError(f"weights must lie in 0..{self.block_h * self.block_w}")
+        if set(self.white) & set(self.black):
+            raise ValueError("a count cannot be both a white and a black weight")
+
+
+@dataclass(frozen=True)
 class FilterParams:
     white_cutoff: float
     black_cutoff: float
     initial_window: int = 3
     max_window: int = 11
     growth_step: int = 2
+    blocks: BlockWeights | None = None  # None: pixel mode only
 
     def __post_init__(self):
         if not (0 < self.white_cutoff < self.black_cutoff < 1):
@@ -40,19 +68,22 @@ class FilterParams:
 
 
 def default_params(params: SchemeParams) -> FilterParams:
-    """Cutoffs derived from the scheme's stacked ink densities.
+    """Block weights and cutoffs derived from the scheme's stacked weights.
 
-    d_w is the expected stacked black density of a white region, d_b the
-    minimum stacked density of a black region; the cutoffs sit at one-third
-    margins inside the (d_w, d_b) gap.
+    Two stacked shares give a white block t-1 black subpixels and a black
+    block 2t-3 or 2t-2 (2-of-2: 1 and 2). For the windowed fallback, d_w is
+    the stacked black density of a white region and d_b the minimum stacked
+    density of a black region; the cutoffs sit at one-third margins inside
+    the (d_w, d_b) gap.
     """
     if params.variant == TWO_OF_TWO:
-        d_w, d_b = 0.5, 1.0
+        white, black = (1,), (2,)
     else:
-        d_w = (params.t - 1) / params.m
-        d_b = (2 * params.t - 3) / params.m
+        white, black = (params.t - 1,), (2 * params.t - 3, 2 * params.t - 2)
+    d_w, d_b = white[0] / params.m, black[0] / params.m
     gap = d_b - d_w
-    return FilterParams(d_w + gap / 3, d_b - gap / 3)
+    return FilterParams(d_w + gap / 3, d_b - gap / 3,
+                        blocks=BlockWeights(params.block_h, params.block_w, white, black))
 
 
 def _window_counts(cum, i0, i1, j0, j1):
@@ -62,13 +93,37 @@ def _window_counts(cum, i0, i1, j0, j1):
 
 
 def adaptive_filter(img: BitImage, p: FilterParams) -> BitImage:
-    """Vectorized over pixels, iterating window sizes from initial to max.
+    """Block mode when p carries block weights and img tiles into blocks,
+    pixel mode otherwise (see the module docstring).
+
+    In block mode the windowed pass runs only if some block count is not a
+    legal weight, and its output is used for those blocks only.
+    """
+    b = p.blocks
+    h, w = img.a.shape
+    if b is None or h % b.block_h or w % b.block_w:
+        return BitImage(_window_filter(img.a, p))
+    bh, bw = b.block_h, b.block_w
+    counts = img.a.reshape(h // bh, bh, w // bw, bw).sum(axis=(1, 3))
+    colour = np.full(bh * bw + 1, -1, dtype=np.int8)  # count -> 0 white, 1 black, -1 noise
+    colour[list(b.white)] = 0
+    colour[list(b.black)] = 1
+    per_block = colour[counts]
+    out = np.repeat(np.repeat(per_block, bh, axis=0), bw, axis=1)
+    noise = out < 0
+    if noise.any():
+        out[noise] = _window_filter(img.a, p)[noise]
+    return BitImage(out.astype(np.uint8))
+
+
+def _window_filter(a: np.ndarray, p: FilterParams) -> np.ndarray:
+    """Pixel mode, vectorized over pixels, iterating window sizes from
+    initial to max.
 
     Comparisons are strict: a ratio strictly below the white cutoff decides
     white, strictly above the black cutoff decides black; a ratio exactly at
     a cutoff stays indecisive and the window keeps growing.
     """
-    a = img.a
     h, w = a.shape
     cum = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(a, axis=0), axis=1, out=cum[1:, 1:])
@@ -98,4 +153,4 @@ def adaptive_filter(img: BitImage, p: FilterParams) -> BitImage:
             break
         win += p.growth_step
     # pixels still undecided keep their input value (out started as a copy)
-    return BitImage(out)
+    return out

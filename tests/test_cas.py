@@ -201,3 +201,32 @@ class TestProtocol:
             c2.close()
             srv2.shutdown()
             srv2.server_close()
+
+
+class TestProtocolInput:
+    def test_bad_integer_keeps_connection(self, server):
+        c = cas.CasClient("127.0.0.1", server.server_address[1])
+        try:
+            assert c._request("CREATE g x 6 1").startswith("ERR usage")
+            assert c._request("FETCH g one").startswith("ERR usage")
+            assert c._request("SUBMIT g 1 -5").startswith("ERR usage")
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+            assert c.fetch("g", 1)[0].startswith("SHARE g 1 ")
+        finally:
+            c.close()
+
+    def test_group_id_stays_inside_state_dir(self, server, tmp_path):
+        c = cas.CasClient("127.0.0.1", server.server_address[1])
+        try:
+            for gid in ("../escaped", "a/b", "..", "x" * 65):
+                assert c.create(gid, 2, 4, 1).startswith("ERR usage"), gid
+            assert c.fetch("../escaped", 1)[0].startswith("ERR usage")
+            assert c.auth("../escaped").startswith("ERR usage")
+            assert c.reset("../escaped").startswith("ERR usage")
+            # the rejected SUBMIT's payload is consumed, so the next request parses
+            assert c.submit("../escaped", 1, b"P4\n1 1\n\x00").startswith("ERR usage")
+            assert c.create("x" * 64, 2, 4, 1) == f"OK {'x' * 64} 2"
+        finally:
+            c.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["state"]
+        assert [p.name for p in (tmp_path / "state").iterdir()] == ["x" * 64]

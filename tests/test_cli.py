@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from viskey import classify, vcs
-from viskey.bitimage import read_pbm
+from viskey.bitimage import downsample_majority, read_pbm
 from viskey.cli import run_cli
 from viskey.font import default_corpus_dir
 
@@ -59,6 +59,23 @@ class TestPipelineStages:
         code, out, _ = run(capsys, "decode", str(merged), "--model", str(model_path),
                            "--scheme", "2")
         assert code == 0 and out.strip() == "4V"
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_denoise_overrides_keep_block_mode(self, capsys, tmp_path, n):
+        key_pbm = tmp_path / "key.pbm"
+        run(capsys, "render", "K7", "--out", str(key_pbm))
+        prefix = str(tmp_path / "sh")
+        run(capsys, "encode", str(key_pbm), "--scheme", str(n), "--seed", "3",
+            "--out-prefix", prefix)
+        merged = tmp_path / "merged.pbm"
+        run(capsys, "reconstruct", prefix + "_1.pbm", prefix + "_2.pbm", "--out", str(merged))
+        clean = tmp_path / "clean.pbm"
+        code, _, _ = run(capsys, "denoise", str(merged), "--sidecar", prefix + "_1.txt",
+                         "--white-cutoff", "0.05", "--max-window", "3", "--out", str(clean))
+        assert code == 0
+        p = vcs.scheme_params(n)
+        recovered = downsample_majority(read_pbm(clean.read_bytes()), p.block_h, p.block_w)
+        assert recovered == read_pbm(key_pbm.read_bytes())
 
     def test_train_and_classify(self, capsys, tmp_path, corpus_dir, model2):
         model_path = tmp_path / "model.txt"

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import bits, random_image
-from viskey import vcs
-from viskey.bitimage import BitImage
-from viskey.denoise import FilterParams, adaptive_filter, default_params
+from viskey import denoise, vcs
+from viskey.bitimage import BitImage, downsample_majority
+from viskey.denoise import BlockWeights, FilterParams, adaptive_filter, default_params
 
 
 class TestFilterParams:
@@ -28,6 +30,14 @@ class TestFilterParams:
         with pytest.raises(ValueError):
             FilterParams(0.3, 0.6, growth_step=3)
 
+    def test_block_weights_disjoint_and_in_range(self):
+        with pytest.raises(ValueError):
+            BlockWeights(1, 2, (1,), (1, 2))
+        with pytest.raises(ValueError):
+            BlockWeights(1, 2, (1,), (3,))
+        with pytest.raises(ValueError):
+            BlockWeights(0, 2, (1,), (2,))
+
 
 class TestDefaultParams:
     def test_two_of_two_cutoffs(self):
@@ -40,6 +50,11 @@ class TestDefaultParams:
         fp = default_params(vcs.scheme_params(9))
         assert fp.white_cutoff == pytest.approx(0.3889, abs=1e-4)
         assert fp.black_cutoff == pytest.approx(0.4444, abs=1e-4)
+
+    def test_block_weights(self):
+        assert default_params(vcs.scheme_params(2)).blocks == BlockWeights(1, 2, (1,), (2,))
+        assert default_params(vcs.scheme_params(9)).blocks == BlockWeights(2, 3, (2,), (3, 4))
+        assert default_params(vcs.scheme_params(12)).blocks == BlockWeights(3, 4, (3,), (5, 6))
 
     @pytest.mark.parametrize("n", [2, 9, 12, 15])
     def test_ordering(self, n):
@@ -133,3 +148,55 @@ class TestAdaptiveFilter:
         img = random_image(rng, 20, 20)
         fp = default_params(vcs.scheme_params(2))
         assert adaptive_filter(img, fp) == adaptive_filter(img, fp)
+
+
+class TestBlockMode:
+    @pytest.mark.parametrize("n", [2, 9, 12])
+    def test_clean_stack_recovers_secret(self, n):
+        p = vcs.scheme_params(n)
+        fp = default_params(p)
+        rng = np.random.default_rng(31 + n)
+        for k in range(20):
+            secret = random_image(rng, 12, 10)
+            shares = vcs.encode(secret, p, 700 + k).shares
+            i, j = rng.choice(n, size=2, replace=False)
+            stacked = vcs.reconstruct([shares[i], shares[j]])
+            filtered = adaptive_filter(stacked, fp)
+            assert downsample_majority(filtered, p.block_h, p.block_w) == secret
+
+    def test_clean_stack_runs_no_window_pass(self, monkeypatch):
+        def no_window(*args):
+            raise AssertionError("window pass ran")
+
+        monkeypatch.setattr(denoise, "_window_counts", no_window)
+        p = vcs.scheme_params(9)
+        secret = random_image(np.random.default_rng(37), 16, 8)
+        stacked = vcs.reconstruct(vcs.encode(secret, p, 41).shares[:2])
+        filtered = adaptive_filter(stacked, default_params(p))
+        assert downsample_majority(filtered, p.block_h, p.block_w) == secret
+
+    def test_noise_block_takes_windowed_output_only(self):
+        # every 1x2 block holds one black subpixel (white under 2-of-2) except
+        # one planted block with none; cutoffs this low make the windowed
+        # filter call the whole image black
+        fp = replace(default_params(vcs.scheme_params(2)), white_cutoff=0.1, black_cutoff=0.2)
+        a = np.tile([1, 0], (6, 5)).astype(np.uint8)
+        a[3, 4:6] = 0
+        img = BitImage(a)
+        windowed = adaptive_filter(img, replace(fp, blocks=None))
+        assert windowed.a.all()
+        out = adaptive_filter(img, fp)
+        expected = np.zeros_like(a)
+        expected[3, 4:6] = windowed.a[3, 4:6]
+        assert np.array_equal(out.a, expected)
+
+    @pytest.mark.parametrize("n,h,w", [(2, 9, 9), (2, 3, 3), (9, 8, 10), (9, 7, 9)])
+    def test_untiled_image_is_pixel_mode(self, n, h, w):
+        fp = default_params(vcs.scheme_params(n))
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            img = random_image(rng, w, h)
+            out = adaptive_filter(img, fp)
+            assert out.a.dtype == np.uint8
+            assert out.a.tobytes() == adaptive_filter(img, replace(fp, blocks=None)).a.tobytes()
+            assert out.a.tobytes() == denoise._window_filter(img.a, fp).tobytes()
