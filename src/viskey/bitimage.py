@@ -139,13 +139,9 @@ def read_pbm(data: bytes) -> BitImage:
                 raise PbmError(f"trailing bits beyond {w * h}", off)
         return BitImage(np.array(bits, dtype=np.uint8).reshape(h, w))
 
-    # P4: payload starts one whitespace byte after the height token; the
-    # payload bytes must not be tokenized.
-    scan = _tokens(data)
-    next(scan)  # magic
-    next(scan)  # width
-    _, _, height_end = next(scan)
-    payload_start = height_end + 1
+    # P4: payload starts one whitespace byte after the height token (its end
+    # is still in `end`); the payload bytes must not be tokenized.
+    payload_start = end + 1
     row_bytes = (w + 7) // 8
     need = row_bytes * h
     payload = data[payload_start : payload_start + need]

@@ -21,7 +21,6 @@ import numpy as np
 from . import vcs
 from .bitimage import BitImage, read_pbm, write_pbm
 from .classify import Model, decode_string
-from .denoise import default_params
 from .font import ALPHABET, default_corpus_dir
 from .ocr import GLYPH_SIZE
 
@@ -121,8 +120,7 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
             record.status = DENIED
             return AuthDecision(DENIED, DIMENSION_MISMATCH)
     merged = vcs.reconstruct(list(subs.values()))
-    decoded = decode_string(merged, model, default_params(record.params),
-                            (record.params.block_h, record.params.block_w))
+    decoded = decode_string(merged, model, record.params)
     if decoded == record.key:
         record.status = GRANTED
         return AuthDecision(GRANTED)

@@ -1,9 +1,10 @@
-"""Training through the share pipeline and 1-nearest-neighbor recognition.
+"""Training on the corpus glyphs and 1-nearest-neighbor recognition.
 
-Training pushes every corpus glyph through encode -> stack -> denoise ->
-downsample, so the model learns characters as they actually look after
-reconstruction; queries produced the same way then match by plain Euclidean
-nearest neighbor.
+A clean stack of shares decodes back to the secret bit for bit (exact
+block-count decode, see `denoise`), so a character read from a stacked key
+image looks exactly like its corpus glyph. The model therefore learns the
+corpus glyphs as they are, and one model serves every scheme; queries match
+by plain Euclidean nearest neighbor.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import vcs
 from .bitimage import BitImage, downsample_majority, read_pbm
-from .denoise import FilterParams, adaptive_filter, default_params
+from .denoise import adaptive_filter, default_params
 from .font import ALPHABET
 from .ocr import FEATURE_LEN, extract_features, normalize_glyph, segment
+from .vcs import SchemeParams
 
 log = logging.getLogger(__name__)
 
@@ -42,14 +43,12 @@ class LabeledSample:
 @dataclass(frozen=True)
 class Model:
     samples: tuple
-    scheme_n: int
-    feature_len: int = FEATURE_LEN
-    skipped: tuple = field(default=(), compare=False)
+    skipped: tuple = field(default=(), compare=False, kw_only=True)
 
     def without_font(self, font_id: str) -> "Model":
         """Leave-one-font-out view of the same trained model."""
         kept = tuple(s for s in self.samples if not s.source_id.endswith(f"_{font_id}"))
-        return Model(kept, self.scheme_n, self.feature_len)
+        return Model(kept)
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
@@ -70,47 +69,34 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.sum((b - a) ** 2)))
 
 
-def glyph_through_pipeline(secret: BitImage, params: vcs.SchemeParams,
-                           fp: FilterParams, seed: int) -> BitImage:
-    """Encode a bilevel image, stack shares 1 and 2, denoise, downsample."""
-    shares = vcs.encode(secret, params, seed)
-    merged = vcs.reconstruct(shares.shares[:2])
-    filtered = adaptive_filter(merged, fp)
-    return downsample_majority(filtered, params.block_h, params.block_w)
-
-
-def train_model(corpus_dir, params: vcs.SchemeParams, seed: int) -> Model:
+def train_model(corpus_dir) -> Model:
     """Train on every <LABEL>_<FONTID>.pbm in corpus_dir.
 
-    Each glyph runs through the full share pipeline before feature
-    extraction; files whose pipeline output does not segment into exactly one
-    glyph are skipped with a warning.
+    Features are taken from each glyph as it is; files that do not segment
+    into exactly one glyph are skipped with a warning.
     """
     corpus_dir = Path(corpus_dir)
     files = sorted(corpus_dir.glob("*.pbm"))
     if not files:
         raise ValueError(f"no corpus files in {corpus_dir}")
-    fp = default_params(params)
-    seeds = np.random.SeedSequence(seed).spawn(len(files))
     samples = []
     skipped = []
-    for path, seq in zip(files, seeds):
+    for path in files:
         stem = path.stem
         label, _, font_id = stem.partition("_")
         if label not in ALPHABET or not font_id:
             raise ValueError(f"corpus filename {path.name} not of form <LABEL>_<FONTID>.pbm")
-        secret = read_pbm(path.read_bytes())
-        clean = glyph_through_pipeline(secret, params, fp, seq.generate_state(1)[0])
-        boxes = segment(clean)
+        glyph = read_pbm(path.read_bytes())
+        boxes = segment(glyph)
         if len(boxes) != 1:
             log.warning("skipping %s: segmentation found %d glyphs", path.name, len(boxes))
             skipped.append(path.name)
             continue
-        feats = extract_features(normalize_glyph(clean, boxes[0]))
+        feats = extract_features(normalize_glyph(glyph, boxes[0]))
         samples.append(LabeledSample(label, feats, stem))
     if not samples:
         raise ValueError(f"no usable corpus files in {corpus_dir}")
-    return Model(tuple(samples), params.n, skipped=tuple(skipped))
+    return Model(tuple(samples), skipped=tuple(skipped))
 
 
 def classify_1nn(x, model: Model):
@@ -124,11 +110,10 @@ def classify_1nn(x, model: Model):
     return model.samples[best].label, float(dists[best])
 
 
-def decode_string(img: BitImage, model: Model, p: FilterParams, block) -> str:
-    """Read a raw OR-stacked key image back into its text."""
-    block_h, block_w = block
-    filtered = adaptive_filter(img, p)
-    clean = downsample_majority(filtered, block_h, block_w)
+def decode_string(img: BitImage, model: Model, params: SchemeParams) -> str:
+    """Read a raw OR-stacked key image of the given scheme back into its text."""
+    filtered = adaptive_filter(img, default_params(params))
+    clean = downsample_majority(filtered, params.block_h, params.block_w)
     out = []
     for box in segment(clean):
         label, _ = classify_1nn(extract_features(normalize_glyph(clean, box)), model)
@@ -137,7 +122,7 @@ def decode_string(img: BitImage, model: Model, p: FilterParams, block) -> str:
 
 
 def save_model(model: Model, path) -> None:
-    lines = [f"{MODEL_MAGIC} {model.feature_len} {len(model.samples)}"]
+    lines = [f"{MODEL_MAGIC} {FEATURE_LEN} {len(model.samples)}"]
     for s in model.samples:
         vals = " ".join(f"{v:.9g}" for v in s.features)
         lines.append(f"{s.label} {s.source_id} {vals}")
@@ -152,15 +137,14 @@ def load_model(path) -> Model:
     if len(head) != 3 or head[0] != MODEL_MAGIC:
         raise ValueError(f"bad model header {lines[0]!r}")
     feature_len, n_samples = int(head[1]), int(head[2])
-    scheme_n = 0  # not persisted; the group record carries the scheme
+    if feature_len != FEATURE_LEN:
+        raise ValueError(f"model has {feature_len} features per sample, expected {FEATURE_LEN}")
     samples = []
     for line in lines[1 : n_samples + 1]:
         parts = line.split()
         label, source_id = parts[0], parts[1]
         feats = np.array([float(v) for v in parts[2:]])
-        if len(feats) != feature_len:
-            raise ValueError(f"sample {source_id} has {len(feats)} features")
         samples.append(LabeledSample(label, feats, source_id))
     if len(samples) != n_samples:
         raise ValueError(f"model file holds {len(samples)} samples, header says {n_samples}")
-    return Model(tuple(samples), scheme_n, feature_len)
+    return Model(tuple(samples))

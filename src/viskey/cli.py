@@ -26,7 +26,7 @@ def _write(path, img, variant):
     Path(path).write_bytes(write_pbm(img, variant))
 
 
-def _filter_params(args, params=None):
+def _filter_params(args, params):
     """The scheme's filter parameters, or without a scheme the 2-of-2
     cutoffs in pixel mode, with the command-line overrides applied."""
     if params is not None:
@@ -39,12 +39,6 @@ def _filter_params(args, params=None):
         if (value := getattr(args, name)) is not None
     }
     return replace(fp, **overrides)
-
-
-def _add_filter_flags(sp):
-    sp.add_argument("--white-cutoff", type=float, default=None)
-    sp.add_argument("--black-cutoff", type=float, default=None)
-    sp.add_argument("--max-window", type=int, default=None)
 
 
 def build_parser():
@@ -76,7 +70,9 @@ def build_parser():
     p = sub.add_parser("denoise", help="adaptive-filter a stacked PBM")
     p.add_argument("image")
     p.add_argument("--sidecar", default=None, help="share sidecar to derive defaults")
-    _add_filter_flags(p)
+    p.add_argument("--white-cutoff", type=float, default=None)
+    p.add_argument("--black-cutoff", type=float, default=None)
+    p.add_argument("--max-window", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("segment", help="print glyph bounding boxes")
@@ -85,10 +81,11 @@ def build_parser():
     p = sub.add_parser("features", help="print the 48 features of a glyph image")
     p.add_argument("image")
 
-    p = sub.add_parser("train", help="train a recognition model")
+    p = sub.add_parser("train", help="train the recognition model, one for every scheme")
     p.add_argument("--corpus", default=None, help="directory of <LABEL>_<FONTID>.pbm")
-    p.add_argument("--scheme", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    # accepted for older command lines; training depends on neither
+    p.add_argument("--scheme", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("classify", help="classify one glyph image")
@@ -99,7 +96,6 @@ def build_parser():
     p.add_argument("image")
     p.add_argument("--model", required=True)
     p.add_argument("--scheme", type=int, required=True)
-    _add_filter_flags(p)
 
     for name in ("create", "fetch", "submit", "auth"):
         p = sub.add_parser(name, help=f"{name.upper()} against a running CAS")
@@ -204,8 +200,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "train":
-        params = vcs.scheme_params(args.scheme)
-        model = classify.train_model(_corpus(args.corpus), params, args.seed)
+        model = classify.train_model(_corpus(args.corpus))
         classify.save_model(model, args.out)
         print(f"trained {len(model.samples)} samples ({len(model.skipped)} skipped)")
         return 0
@@ -225,12 +220,7 @@ def _run(args) -> int:
 
     if cmd == "decode":
         model = classify.load_model(args.model)
-        params = vcs.scheme_params(args.scheme)
-        fp = _filter_params(args, params)
-        text = classify.decode_string(
-            _read(args.image), model, fp, (params.block_h, params.block_w)
-        )
-        print(text)
+        print(classify.decode_string(_read(args.image), model, vcs.scheme_params(args.scheme)))
         return 0
 
     if cmd in ("create", "fetch", "submit", "auth"):
@@ -270,7 +260,7 @@ def _demo(args) -> int:
     record = cas.create_group("demo", args.n, args.key_len, args.seed, corpus)
     print(f"key: {record.key}")
     print(f"shares: {params.n} of {record.shares[0].width}x{record.shares[0].height}")
-    model = classify.train_model(corpus, params, args.seed + 1)
+    model = classify.train_model(corpus)
     print(f"model: {len(model.samples)} samples")
     record.submissions[1] = record.shares[0]
     record.submissions[2] = record.shares[1]

@@ -1,10 +1,10 @@
 """Filter for OR-stacked share images: exact block counts, windowed fallback.
 
-Block mode: in a clean stack of two shares, the number of black subpixels in
-a block is one of a few legal weights, and the weight alone tells white from
-black (the contrast property of the scheme). A block with a legal count
-becomes solid white or solid black; only blocks with any other count (noise)
-take the windowed filter's output.
+Block mode: in a clean stack of two or more shares, the number of black
+subpixels in a block is one of a few legal weights, and the weight alone
+tells white from black (the contrast property of the scheme). A block with a
+legal count becomes solid white or solid black; only blocks with any other
+count (noise) take the windowed filter's output.
 
 Pixel mode (no block geometry, or an image that does not tile into blocks):
 per pixel, the black ratio of a window clipped to the image is compared
@@ -70,16 +70,17 @@ class FilterParams:
 def default_params(params: SchemeParams) -> FilterParams:
     """Block weights and cutoffs derived from the scheme's stacked weights.
 
-    Two stacked shares give a white block t-1 black subpixels and a black
-    block 2t-3 or 2t-2 (2-of-2: 1 and 2). For the windowed fallback, d_w is
-    the stacked black density of a white region and d_b the minimum stacked
-    density of a black region; the cutoffs sit at one-third margins inside
-    the (d_w, d_b) gap.
+    All rows of the white basis matrix are equal, so a stack of any two or
+    more shares gives a white block t-1 black subpixels; a black block has
+    2t-3 (two shares) up to m (2-of-2: 1 and 2). For the windowed fallback,
+    d_w is the stacked black density of a white region and d_b the minimum
+    stacked density of a black region; the cutoffs sit at one-third margins
+    inside the (d_w, d_b) gap.
     """
     if params.variant == TWO_OF_TWO:
         white, black = (1,), (2,)
     else:
-        white, black = (params.t - 1,), (2 * params.t - 3, 2 * params.t - 2)
+        white, black = (params.t - 1,), tuple(range(2 * params.t - 3, params.m + 1))
     d_w, d_b = white[0] / params.m, black[0] / params.m
     gap = d_b - d_w
     return FilterParams(d_w + gap / 3, d_b - gap / 3,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitimage import BitImage, DimensionError
+from .bitimage import BitImage, or_merge
 
 TWO_OF_TWO = "2of2"
 TWO_OF_N = "2ofn"
@@ -177,8 +177,6 @@ def reconstruct(shares) -> BitImage:
     shares = list(shares)
     if len(shares) < 2:
         raise ValueError(f"need at least 2 shares, got {len(shares)}")
-    from .bitimage import or_merge
-
     return or_merge(shares)
 
 

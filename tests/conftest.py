@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viskey import classify, vcs
+from viskey import classify
 from viskey.bitimage import BitImage
 from viskey.font import default_corpus_dir
 
@@ -23,12 +23,6 @@ def corpus_dir():
 
 
 @pytest.fixture(scope="session")
-def model2(corpus_dir):
-    """Recognition model trained through the 2-of-2 pipeline."""
-    return classify.train_model(corpus_dir, vcs.scheme_params(2), seed=100)
-
-
-@pytest.fixture(scope="session")
-def model9(corpus_dir):
-    """Recognition model trained through the (2,9) pipeline."""
-    return classify.train_model(corpus_dir, vcs.scheme_params(9), seed=200)
+def model(corpus_dir):
+    """The recognition model, trained on the corpus glyphs; it serves every scheme."""
+    return classify.train_model(corpus_dir)

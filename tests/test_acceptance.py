@@ -146,10 +146,9 @@ def test_criterion_05_filter_recovery():
            f"t=3 {results[9][0]:.4f}/{results[9][1]:.4f}; required min ≥ 0.995; {dt:.1f} s")
 
 
-def test_criterion_06_recognition_rate(model2, corpus_dir):
+def test_criterion_06_recognition_rate(model, corpus_dir):
     t0 = time.perf_counter()
     p = vcs.scheme_params(2)
-    fp = default_params(p)
     rng = np.random.default_rng(2024)
     full_ok = full_n = lofo_ok = lofo_n = 0
     for k in range(500):
@@ -157,8 +156,8 @@ def test_criterion_06_recognition_rate(model2, corpus_dir):
         fid = FONT_IDS[rng.integers(10)]
         secret = cas.render_key_image(label, corpus_dir, fid)
         merged = vcs.reconstruct(vcs.encode(secret, p, int(rng.integers(2**31))).shares)
-        model = model2 if k % 2 == 0 else model2.without_font(fid)
-        decoded = classify.decode_string(merged, model, fp, (p.block_h, p.block_w))
+        trial_model = model if k % 2 == 0 else model.without_font(fid)
+        decoded = classify.decode_string(merged, trial_model, p)
         if k % 2 == 0:
             full_n += 1
             full_ok += decoded == label
@@ -186,7 +185,7 @@ def test_criterion_07_1nn_oracle_equivalence():
             classify.LabeledSample(ALPHABET[int(rng.integers(36))], f, f"s{i}")
             for i, f in enumerate(feats)
         )
-        m = classify.Model(samples, 2)
+        m = classify.Model(samples)
         x = samples[int(rng.integers(k))].features if rng.random() < 0.3 else rng.random(48)
         got = classify.classify_1nn(x, m)
         dists = [classify.euclidean_distance(x, s.features) for s in samples]
@@ -299,17 +298,17 @@ def _tcp_trials(n, port, trials, seed0):
     return granted, total, singles_ok, singles_n
 
 
-def test_criterion_09_cas_end_to_end(model2, model9, corpus_dir, tmp_path):
+def test_criterion_09_cas_end_to_end(model, corpus_dir, tmp_path):
     results = {}
-    for n, model in ((2, model2), (9, model9)):
+    for n in (2, 9):
         results[n] = _pair_trials(n, model, corpus_dir, trials=25, seed0=9000 + n)
 
     # service variant against live serve instances, plus kill/restart
     tcp = {}
     restart_ok = True
-    for n, model in ((2, model2), (9, model9)):
-        model_path = tmp_path / f"model{n}.txt"
-        classify.save_model(model, model_path)
+    model_path = tmp_path / "model.txt"
+    classify.save_model(model, model_path)
+    for n in (2, 9):
         state = tmp_path / f"state{n}"
         port = _free_port()
         proc = _start_server(port, state, model_path, corpus_dir)

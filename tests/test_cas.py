@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from viskey import cas, vcs
+from viskey import cas, denoise, vcs
 from viskey.bitimage import BitImage, read_pbm, write_pbm
 from viskey.ocr import segment
 
@@ -77,30 +77,40 @@ class TestCreateGroup:
 
 
 class TestAuthenticate:
-    def test_granted(self, corpus_dir, model2):
+    def test_granted(self, corpus_dir, model):
         rec = cas.create_group("g", 2, 4, 30, corpus_dir)
         rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
-        d = cas.authenticate(rec, model2)
+        d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
         assert rec.status == cas.GRANTED
 
-    def test_insufficient(self, corpus_dir, model2):
+    def test_three_shares_granted_without_window_pass(self, corpus_dir, model, monkeypatch):
+        def no_window(*args):
+            raise AssertionError("window pass ran")
+
+        monkeypatch.setattr(denoise, "_window_counts", no_window)
+        rec = cas.create_group("g", 9, 5, 35, corpus_dir)
+        rec.submissions = {i: rec.shares[i - 1] for i in (1, 2, 3)}
+        d = cas.authenticate(rec, model)
+        assert d.outcome == cas.GRANTED and d.reason == ""
+
+    def test_insufficient(self, corpus_dir, model):
         rec = cas.create_group("g", 2, 4, 31, corpus_dir)
         rec.submissions = {1: rec.shares[0]}
-        d = cas.authenticate(rec, model2)
+        d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.INSUFFICIENT_SHARES)
 
-    def test_dimension_mismatch(self, corpus_dir, model2):
+    def test_dimension_mismatch(self, corpus_dir, model):
         rec = cas.create_group("g", 2, 4, 32, corpus_dir)
         rec.submissions = {1: rec.shares[0], 2: BitImage.blank(8, 8)}
-        d = cas.authenticate(rec, model2)
+        d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.DIMENSION_MISMATCH)
 
-    def test_cross_group_mismatch(self, corpus_dir, model2):
+    def test_cross_group_mismatch(self, corpus_dir, model):
         a = cas.create_group("a", 2, 4, 33, corpus_dir)
         b = cas.create_group("b", 2, 4, 34, corpus_dir)
         a.submissions = {1: a.shares[0], 2: b.shares[1]}
-        d = cas.authenticate(a, model2)
+        d = cas.authenticate(a, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
         assert d.decoded != a.key
 
@@ -123,8 +133,8 @@ class TestRecordPersistence:
 
 
 @pytest.fixture()
-def server(tmp_path, model2, corpus_dir):
-    state = cas.CasState(tmp_path / "state", model2, corpus_dir)
+def server(tmp_path, model, corpus_dir):
+    state = cas.CasState(tmp_path / "state", model, corpus_dir)
     srv = cas.CasServer(("127.0.0.1", 0), state)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -170,9 +180,9 @@ class TestProtocol:
         finally:
             c.close()
 
-    def test_state_survives_restart(self, tmp_path, model2, corpus_dir):
+    def test_state_survives_restart(self, tmp_path, model, corpus_dir):
         state_dir = tmp_path / "state"
-        state = cas.CasState(state_dir, model2, corpus_dir)
+        state = cas.CasState(state_dir, model, corpus_dir)
         srv = cas.CasServer(("127.0.0.1", 0), state)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -188,7 +198,7 @@ class TestProtocol:
         srv.server_close()
 
         # fresh process state from disk: submissions and shares intact
-        state2 = cas.CasState(state_dir, model2, corpus_dir)
+        state2 = cas.CasState(state_dir, model, corpus_dir)
         srv2 = cas.CasServer(("127.0.0.1", 0), state2)
         thread2 = threading.Thread(target=srv2.serve_forever, daemon=True)
         thread2.start()

@@ -3,10 +3,11 @@ import pytest
 
 from conftest import bits
 from viskey import cas, classify, vcs
-from viskey.bitimage import BitImage, write_pbm
+from viskey.bitimage import BitImage, downsample_majority, read_pbm, write_pbm
 from viskey.classify import LabeledSample, Model
-from viskey.denoise import default_params
+from viskey.denoise import adaptive_filter, default_params
 from viskey.font import ALPHABET
+from viskey.ocr import extract_features, normalize_glyph, segment
 
 
 def sample(label, feats, source="x_f0"):
@@ -40,38 +41,38 @@ class TestEuclideanDistance:
 class TestClassify1nn:
     def test_exact_match(self):
         feats = np.full(48, 0.25)
-        m = Model((sample("A", feats),), 2)
+        m = Model((sample("A", feats),))
         label, dist = classify.classify_1nn(feats, m)
         assert (label, dist) == ("A", 0.0)
 
     def test_nearer_wins(self):
-        m = Model((sample("A", np.zeros(48)), sample("B", np.ones(48))), 2)
+        m = Model((sample("A", np.zeros(48)), sample("B", np.ones(48))))
         label, _ = classify.classify_1nn(np.full(48, 0.1), m)
         assert label == "A"
 
     def test_tie_digits_before_letters(self):
         feats = np.full(48, 0.5)
-        m = Model((sample("B", feats), sample("3", feats)), 2)
+        m = Model((sample("B", feats), sample("3", feats)))
         label, dist = classify.classify_1nn(np.zeros(48), m)
         assert label == "3" and dist > 0
 
     def test_tie_earlier_training_index(self):
         feats = np.full(48, 0.5)
-        m = Model((sample("K", feats, "k_f0"), sample("K", feats, "k_f1")), 2)
+        m = Model((sample("K", feats, "k_f0"), sample("K", feats, "k_f1")))
         label, _ = classify.classify_1nn(feats, m)
         assert label == "K"
 
     def test_empty_model(self):
         with pytest.raises(ValueError):
-            classify.classify_1nn(np.zeros(48), Model((), 2))
+            classify.classify_1nn(np.zeros(48), Model(()))
 
     def test_duplicate_sample_invariance(self):
         rng = np.random.default_rng(61)
         samples = tuple(
             sample(ALPHABET[i % 36], rng.random(48), f"s{i}_f0") for i in range(12)
         )
-        m = Model(samples, 2)
-        m_dup = Model(samples + (samples[3],), 2)
+        m = Model(samples)
+        m_dup = Model(samples + (samples[3],))
         for _ in range(20):
             x = rng.random(48)
             assert classify.classify_1nn(x, m)[0] == classify.classify_1nn(x, m_dup)[0]
@@ -84,7 +85,7 @@ class TestClassify1nn:
                 sample(ALPHABET[int(rng.integers(36))], rng.random(48), f"s{i}")
                 for i in range(k)
             )
-            m = Model(samples, 2)
+            m = Model(samples)
             x = rng.random(48)
             got_label, got_dist = classify.classify_1nn(x, m)
             dists = [classify.euclidean_distance(x, s.features) for s in samples]
@@ -108,62 +109,76 @@ class TestLabeledSample:
 
 
 class TestTrainModel:
-    def test_full_corpus(self, model2):
-        assert len(model2.samples) == 360
-        assert model2.skipped == ()
-        labels = {s.label for s in model2.samples}
+    def test_full_corpus(self, model):
+        assert len(model.samples) == 360
+        assert model.skipped == ()
+        labels = {s.label for s in model.samples}
         assert labels == set(ALPHABET)
 
     def test_deterministic(self, corpus_dir):
-        p = vcs.scheme_params(2)
-        a = classify.train_model(corpus_dir, p, seed=77)
-        b = classify.train_model(corpus_dir, p, seed=77)
+        a = classify.train_model(corpus_dir)
+        b = classify.train_model(corpus_dir)
         assert all(
             np.array_equal(x.features, y.features) for x, y in zip(a.samples, b.samples)
         )
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(ValueError):
-            classify.train_model(tmp_path, vcs.scheme_params(2), seed=1)
+            classify.train_model(tmp_path)
 
     def test_bad_filename(self, tmp_path, corpus_dir):
         data = (corpus_dir / "A_f0.pbm").read_bytes()
         (tmp_path / "badname.pbm").write_bytes(data)
         with pytest.raises(ValueError):
-            classify.train_model(tmp_path, vcs.scheme_params(2), seed=1)
+            classify.train_model(tmp_path)
 
     def test_multi_glyph_file_skipped(self, tmp_path, corpus_dir):
         (tmp_path / "A_f0.pbm").write_bytes((corpus_dir / "A_f0.pbm").read_bytes())
         two = cas.render_key_image("AB", corpus_dir, "f0")
         (tmp_path / "B_zz.pbm").write_bytes(write_pbm(two, "P1"))
-        m = classify.train_model(tmp_path, vcs.scheme_params(2), seed=1)
+        m = classify.train_model(tmp_path)
         assert len(m.samples) == 1
         assert m.skipped == ("B_zz.pbm",)
 
-    def test_self_recognition(self, model2):
-        for s in model2.samples[::37]:
-            label, dist = classify.classify_1nn(s.features, model2)
+    def test_share_pipeline_returns_corpus_glyphs(self, model, corpus_dir):
+        """Why training skips the share pipeline: encode -> stack of shares 1
+        and 2 -> filter -> downsample gives every corpus glyph's features back."""
+        trained = {s.source_id: s.features for s in model.samples}
+        schemes = [vcs.scheme_params(n) for n in (2, 9, 12)]
+        for k, path in enumerate(sorted(corpus_dir.glob("*.pbm"))):
+            secret = read_pbm(path.read_bytes())
+            for p in schemes:
+                stacked = vcs.reconstruct(vcs.encode(secret, p, 4000 + k).shares[:2])
+                clean = downsample_majority(adaptive_filter(stacked, default_params(p)),
+                                            p.block_h, p.block_w)
+                (box,) = segment(clean)
+                feats = extract_features(normalize_glyph(clean, box))
+                assert np.array_equal(feats, trained[path.stem]), (path.name, p.n)
+
+    def test_self_recognition(self, model):
+        for s in model.samples[::37]:
+            label, dist = classify.classify_1nn(s.features, model)
             assert label == s.label and dist == 0.0
 
-    def test_without_font(self, model2):
-        sub = model2.without_font("f3")
+    def test_without_font(self, model):
+        sub = model.without_font("f3")
         assert len(sub.samples) == 324
         assert not any(s.source_id.endswith("_f3") for s in sub.samples)
 
 
 class TestModelPersistence:
-    def test_roundtrip(self, model2, tmp_path):
+    def test_roundtrip(self, model, tmp_path):
         path = tmp_path / "model.txt"
-        classify.save_model(model2, path)
+        classify.save_model(model, path)
         loaded = classify.load_model(path)
-        assert len(loaded.samples) == len(model2.samples)
-        for a, b in zip(model2.samples, loaded.samples):
+        assert len(loaded.samples) == len(model.samples)
+        for a, b in zip(model.samples, loaded.samples):
             assert a.label == b.label and a.source_id == b.source_id
             assert np.allclose(a.features, b.features, atol=1e-8)
 
-    def test_header_format(self, model2, tmp_path):
+    def test_header_format(self, model, tmp_path):
         path = tmp_path / "model.txt"
-        classify.save_model(model2, path)
+        classify.save_model(model, path)
         assert path.read_text().splitlines()[0] == "viskey-model 48 360"
 
     def test_bad_header(self, tmp_path):
@@ -171,6 +186,16 @@ class TestModelPersistence:
         path.write_text("not-a-model 48 0\n")
         with pytest.raises(ValueError):
             classify.load_model(path)
+
+    def test_wrong_feature_count(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("viskey-model 47 1\nA a_f0 " + " ".join(["0"] * 47) + "\n")
+        with pytest.raises(ValueError, match="47 features per sample"):
+            classify.load_model(path)
+
+    def test_skipped_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Model((), 2)
 
     def test_sample_count_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -180,29 +205,19 @@ class TestModelPersistence:
 
 
 class TestDecodeString:
-    def test_all_white(self, model2):
-        fp = default_params(vcs.scheme_params(2))
-        assert classify.decode_string(BitImage.blank(20, 20), model2, fp, (1, 2)) == ""
+    def test_all_white(self, model):
+        assert classify.decode_string(BitImage.blank(20, 20), model, vcs.scheme_params(2)) == ""
 
-    def test_end_to_end_a7k(self, model2, corpus_dir):
+    def test_end_to_end_a7k(self, model, corpus_dir):
         p = vcs.scheme_params(2)
         secret = cas.render_key_image("A7K", corpus_dir, "f0")
         merged = vcs.reconstruct(vcs.encode(secret, p, 12345).shares)
-        out = classify.decode_string(merged, model2, default_params(p), (p.block_h, p.block_w))
+        out = classify.decode_string(merged, model, p)
         assert out == "A7K"
 
-    def test_single_zero(self, model2, corpus_dir):
+    def test_single_zero(self, model, corpus_dir):
         p = vcs.scheme_params(2)
         secret = cas.render_key_image("0", corpus_dir, "f0")
         merged = vcs.reconstruct(vcs.encode(secret, p, 999).shares)
-        out = classify.decode_string(merged, model2, default_params(p), (p.block_h, p.block_w))
+        out = classify.decode_string(merged, model, p)
         assert out == "0"
-
-    def test_pipeline_matches_training_path(self, corpus_dir):
-        from viskey.bitimage import read_pbm
-
-        p = vcs.scheme_params(2)
-        fp = default_params(p)
-        secret = read_pbm((corpus_dir / "M_f2.pbm").read_bytes())
-        out = classify.glyph_through_pipeline(secret, p, fp, seed=4242)
-        assert (out.height, out.width) == (secret.height, secret.width)

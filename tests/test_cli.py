@@ -25,7 +25,7 @@ class TestKeygen:
 
 
 class TestPipelineStages:
-    def test_render_encode_reconstruct_decode(self, capsys, tmp_path, model2):
+    def test_render_encode_reconstruct_decode(self, capsys, tmp_path, model):
         corpus = str(default_corpus_dir())
         key_pbm = tmp_path / "key.pbm"
         code, _, _ = run(capsys, "render", "4V", "--corpus", corpus, "--out", str(key_pbm))
@@ -55,7 +55,7 @@ class TestPipelineStages:
         assert code == 0 and len(out.strip().splitlines()) == 2
 
         model_path = tmp_path / "model.txt"
-        classify.save_model(model2, model_path)
+        classify.save_model(model, model_path)
         code, out, _ = run(capsys, "decode", str(merged), "--model", str(model_path),
                            "--scheme", "2")
         assert code == 0 and out.strip() == "4V"
@@ -77,13 +77,23 @@ class TestPipelineStages:
         recovered = downsample_majority(read_pbm(clean.read_bytes()), p.block_h, p.block_w)
         assert recovered == read_pbm(key_pbm.read_bytes())
 
-    def test_train_and_classify(self, capsys, tmp_path, corpus_dir, model2):
+    def test_train_and_classify(self, capsys, tmp_path, corpus_dir, model):
         model_path = tmp_path / "model.txt"
-        classify.save_model(model2, model_path)
+        classify.save_model(model, model_path)
         glyph = corpus_dir / "Q_f0.pbm"
         code, out, _ = run(capsys, "classify", str(glyph), "--model", str(model_path))
         assert code == 0
         assert out.split()[0] == "Q"
+
+    def test_train_forms_write_one_model(self, capsys, tmp_path):
+        forms = (["--scheme", "9", "--seed", "100"], ["--scheme", "2", "--seed", "31"], [])
+        written = []
+        for k, flags in enumerate(forms):
+            path = tmp_path / f"model{k}.txt"
+            code, _, _ = run(capsys, "train", *flags, "--out", str(path))
+            assert code == 0, flags
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
 
     def test_features_output(self, capsys, corpus_dir):
         code, out, _ = run(capsys, "features", str(corpus_dir / "A_f0.pbm"))

@@ -53,8 +53,9 @@ class TestDefaultParams:
 
     def test_block_weights(self):
         assert default_params(vcs.scheme_params(2)).blocks == BlockWeights(1, 2, (1,), (2,))
-        assert default_params(vcs.scheme_params(9)).blocks == BlockWeights(2, 3, (2,), (3, 4))
-        assert default_params(vcs.scheme_params(12)).blocks == BlockWeights(3, 4, (3,), (5, 6))
+        assert default_params(vcs.scheme_params(9)).blocks == BlockWeights(2, 3, (2,), (3, 4, 5, 6))
+        assert default_params(vcs.scheme_params(12)).blocks == BlockWeights(
+            3, 4, (3,), (5, 6, 7, 8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n", [2, 9, 12, 15])
     def test_ordering(self, n):
@@ -156,13 +157,14 @@ class TestBlockMode:
         p = vcs.scheme_params(n)
         fp = default_params(p)
         rng = np.random.default_rng(31 + n)
-        for k in range(20):
+        for trial in range(20):
             secret = random_image(rng, 12, 10)
-            shares = vcs.encode(secret, p, 700 + k).shares
-            i, j = rng.choice(n, size=2, replace=False)
-            stacked = vcs.reconstruct([shares[i], shares[j]])
-            filtered = adaptive_filter(stacked, fp)
-            assert downsample_majority(filtered, p.block_h, p.block_w) == secret
+            shares = vcs.encode(secret, p, 700 + trial).shares
+            for k in sorted({2, min(3, n), n}):
+                picked = rng.choice(n, size=k, replace=False)
+                stacked = vcs.reconstruct([shares[i] for i in picked])
+                filtered = adaptive_filter(stacked, fp)
+                assert downsample_majority(filtered, p.block_h, p.block_w) == secret, k
 
     def test_clean_stack_runs_no_window_pass(self, monkeypatch):
         def no_window(*args):
@@ -171,9 +173,10 @@ class TestBlockMode:
         monkeypatch.setattr(denoise, "_window_counts", no_window)
         p = vcs.scheme_params(9)
         secret = random_image(np.random.default_rng(37), 16, 8)
-        stacked = vcs.reconstruct(vcs.encode(secret, p, 41).shares[:2])
-        filtered = adaptive_filter(stacked, default_params(p))
-        assert downsample_majority(filtered, p.block_h, p.block_w) == secret
+        shares = vcs.encode(secret, p, 41).shares
+        for k in (2, 3, 9):
+            filtered = adaptive_filter(vcs.reconstruct(shares[:k]), default_params(p))
+            assert downsample_majority(filtered, p.block_h, p.block_w) == secret, k
 
     def test_noise_block_takes_windowed_output_only(self):
         # every 1x2 block holds one black subpixel (white under 2-of-2) except
