@@ -90,23 +90,60 @@ class Rect:
         return self.right - self.left + 1
 
 
+_WHITESPACE_BYTES = b" \t\r\n\v\f"
+
+
 def _tokens(data):
     """Yield (token, offset) over whitespace-separated header tokens, skipping
     '#' comments that run to end of line."""
     i, n = 0, len(data)
     while i < n:
         c = data[i : i + 1]
-        if c in b" \t\r\n\v\f":
+        if c in _WHITESPACE_BYTES:
             i += 1
         elif c == b"#":
             while i < n and data[i : i + 1] != b"\n":
                 i += 1
         else:
             start = i
-            while i < n and data[i : i + 1] not in b" \t\r\n\v\f#":
+            while i < n and data[i : i + 1] not in _WHITESPACE_BYTES + b"#":
                 i += 1
             yield data[start:i], start, i
     yield None, n, n
+
+
+_WHITESPACE = np.zeros(256, dtype=bool)
+_WHITESPACE[list(_WHITESPACE_BYTES)] = True
+
+
+def _read_p1_payload(data, start, w, h):
+    """The w*h bits of a P1 payload that begins at byte `start`.
+
+    Pixels are the bytes outside whitespace and '#' comments; a run of them
+    is a token. The token holding the last pixel must end there, and every
+    byte up to its end must be '0' or '1'; anything after it is ignored.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
+    pos = np.arange(len(buf))
+    last_hash = np.maximum.accumulate(np.where(buf == 0x23, pos, -1))
+    last_newline = np.maximum.accumulate(np.where(buf == 0x0A, pos, -1))
+    kept = np.flatnonzero(~_WHITESPACE[buf] & (last_hash <= last_newline))
+    need = w * h
+    # kept indices where a token ends (the next kept byte is not adjacent)
+    token_ends = np.append(np.flatnonzero(np.diff(kept) != 1), len(kept) - 1)
+    k = np.searchsorted(token_ends, need - 1)
+    stop = token_ends[k] + 1 if k < len(token_ends) else len(kept)
+    vals = buf[kept[:stop]]
+    bad = np.flatnonzero((vals != 0x30) & (vals != 0x31))
+    if len(bad):
+        i = bad[0]
+        raise PbmError(f"invalid P1 bit {chr(vals[i])!r}", start + int(kept[i]))
+    if stop < need:
+        raise PbmError(f"truncated P1 payload: got {stop} of {need} bits", len(data))
+    if stop > need:
+        first = token_ends[k - 1] + 1 if k else 0
+        raise PbmError(f"trailing bits beyond {need}", start + int(kept[first]))
+    return (vals - 0x30).reshape(h, w)
 
 
 def read_pbm(data: bytes) -> BitImage:
@@ -126,18 +163,7 @@ def read_pbm(data: bytes) -> BitImage:
         raise PbmError(f"dimensions must be positive, got {w}x{h}", off)
 
     if magic == b"P1":
-        bits = []
-        while len(bits) < w * h:
-            tok, off, end = next(toks)
-            if tok is None:
-                raise PbmError(f"truncated P1 payload: got {len(bits)} of {w * h} bits", off)
-            for k, ch in enumerate(tok):
-                if ch not in (0x30, 0x31):
-                    raise PbmError(f"invalid P1 bit {chr(ch)!r}", off + k)
-                bits.append(ch - 0x30)
-            if len(bits) > w * h:
-                raise PbmError(f"trailing bits beyond {w * h}", off)
-        return BitImage(np.array(bits, dtype=np.uint8).reshape(h, w))
+        return BitImage(_read_p1_payload(data, end, w, h))
 
     # P4: payload starts one whitespace byte after the height token (its end
     # is still in `end`); the payload bytes must not be tokenized.
@@ -160,8 +186,10 @@ def write_pbm(img: BitImage, variant: str = "P1") -> bytes:
     'P4\\n<w> <h>\\n' + MSB-first packed rows padded with zero bits."""
     header = f"{variant}\n{img.width} {img.height}\n".encode()
     if variant == "P1":
-        body = b"\n".join(b" ".join(b"01"[p : p + 1] for p in row) for row in img.a) + b"\n"
-        return header + body
+        body = np.full((img.height, 2 * img.width), ord(" "), dtype=np.uint8)
+        body[:, 0::2] = img.a + ord("0")
+        body[:, -1] = ord("\n")
+        return header + body.tobytes()
     if variant == "P4":
         packed = np.packbits(img.a, axis=1)
         return header + packed.tobytes()

@@ -142,6 +142,8 @@ def load_model(path) -> Model:
     samples = []
     for line in lines[1 : n_samples + 1]:
         parts = line.split()
+        if len(parts) < 2:
+            raise ValueError(f"model sample line {line!r} lacks a label and a source id")
         label, source_id = parts[0], parts[1]
         feats = np.array([float(v) for v in parts[2:]])
         samples.append(LabeledSample(label, feats, source_id))

@@ -153,23 +153,24 @@ def encode(secret: BitImage, params: SchemeParams, seed: int) -> ShareSet:
     appropriate basis matrix; the permuted row i fills share i's subpixel
     block row-major. Randomness comes from numpy's seeded PCG64 generator,
     one permutation per pixel in row-major pixel order.
+
+    All n shares come from one gather: over the n x 2m table [s0 | s1], the
+    subpixel at block slot j of a pixel with color c and permutation p reads
+    column c*m + p[j], for every share row at once. The column indices are
+    put in share-raster order first, so share i is row i of the gathered
+    (n, H, W) array and is C-contiguous.
     """
     basis = scheme_basis(params)
     rng = np.random.default_rng(seed)
     h, w = secret.height, secret.width
-    npix = h * w
-    m = params.m
-    perms = rng.permuted(np.tile(np.arange(m), (npix, 1)), axis=1)
-    colors = secret.a.reshape(-1)  # 0/1 per pixel
-
-    bh, bw = params.block_h, params.block_w
-    shares = []
-    for i in range(params.n):
-        rows = np.where(colors[:, None] == 1, basis.s1[i][perms], basis.s0[i][perms])
-        blocks = rows.reshape(h, w, bh, bw)
-        share = blocks.transpose(0, 2, 1, 3).reshape(h * bh, w * bw)
-        shares.append(BitImage(share))
-    return ShareSet(params, tuple(shares), w, h)
+    m, bh, bw = params.m, params.block_h, params.block_w
+    columns = rng.permuted(np.tile(np.arange(m), (h * w, 1)), axis=1)
+    columns += secret.a.reshape(-1, 1) * np.intp(m)  # m can exceed uint8
+    raster_order = columns.reshape(h, w, bh, bw).transpose(0, 2, 1, 3)
+    table = np.concatenate([basis.s0, basis.s1], axis=1)
+    rasters = np.take(table, raster_order, axis=1).reshape(params.n, h * bh, w * bw)
+    shares = tuple(BitImage(r) for r in rasters)
+    return ShareSet(params, shares, w, h)
 
 
 def reconstruct(shares) -> BitImage:

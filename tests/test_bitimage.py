@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_image
@@ -9,6 +9,7 @@ from viskey.bitimage import (
     DimensionError,
     PbmError,
     Rect,
+    _tokens,
     crop,
     downsample_majority,
     or_merge,
@@ -27,6 +28,68 @@ def images(max_side=64):
             ).map(lambda px: BitImage(np.array(px, dtype=np.uint8).reshape(h, w)))
         )
     )
+
+
+def reference_read_p1(data):
+    """Token-by-token P1 parser: the loop `read_pbm` used before its payload
+    pass was vectorised, kept as the oracle for that pass."""
+    toks = _tokens(data)
+    magic, off, _ = next(toks)
+    if magic != b"P1":
+        raise PbmError(f"bad magic {magic!r}, expected P1 or P4", off)
+    dims = []
+    for _ in range(2):
+        tok, off, end = next(toks)
+        if tok is None or not tok.isdigit():
+            raise PbmError(f"expected numeric dimension, got {tok!r}", off)
+        dims.append(int(tok))
+    w, h = dims
+    if w <= 0 or h <= 0:
+        raise PbmError(f"dimensions must be positive, got {w}x{h}", off)
+    bits = []
+    while len(bits) < w * h:
+        tok, off, end = next(toks)
+        if tok is None:
+            raise PbmError(f"truncated P1 payload: got {len(bits)} of {w * h} bits", off)
+        for k, ch in enumerate(tok):
+            if ch not in (0x30, 0x31):
+                raise PbmError(f"invalid P1 bit {chr(ch)!r}", off + k)
+            bits.append(ch - 0x30)
+        if len(bits) > w * h:
+            raise PbmError(f"trailing bits beyond {w * h}", off)
+    return BitImage(np.array(bits, dtype=np.uint8).reshape(h, w))
+
+
+@st.composite
+def p1_inputs(draw):
+    """A canonical P1 file of a small image, then up to six edits: chunks of
+    bits, whitespace, comments or stray bytes inserted or written over, bytes
+    deleted, or a cut. Edits land mostly in the payload, often at its end."""
+    data = bytearray(write_pbm(draw(images(max_side=6)), "P1"))
+    header_len = data.index(b"\n", 3) + 1
+    chunk = st.sampled_from([b"0", b"1", b"01", b" ", b"\n", b"\t", b"#", b"# c 1\n", b"x"])
+    chunk = chunk | st.binary(min_size=1, max_size=1)
+    for _ in range(draw(st.integers(0, 6))):
+        lo = min(len(data), draw(st.sampled_from([header_len, header_len, header_len, 0])))
+        i = draw(st.integers(lo, len(data)) | st.just(max(lo, len(data) - 1)))
+        op = draw(st.sampled_from(["insert", "insert", "replace", "delete", "truncate"]))
+        if op == "insert":
+            data[i:i] = draw(chunk)
+        elif op == "replace":
+            piece = draw(chunk)
+            data[i : i + len(piece)] = piece
+        elif op == "delete":
+            del data[i : i + 1]
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+def parse_outcome(parse, data):
+    try:
+        return parse(data)
+    except PbmError as e:
+        return ("error", str(e), e.offset)
 
 
 class TestBitImage:
@@ -116,6 +179,39 @@ class TestReadPbm:
     def test_invalid_p1_bit(self):
         with pytest.raises(PbmError):
             read_pbm(b"P1\n2 1\n1 7")
+
+    @pytest.mark.parametrize(
+        "data, offset, message",
+        [
+            (b"P1\n4 1\n10x1", 9, "invalid P1 bit 'x'"),
+            (b"P1\n2 2\n1 0 0x1", 12, "invalid P1 bit 'x'"),
+            (b"P1\n2 2\n1 0 1", 12, "truncated P1 payload: got 3 of 4 bits"),
+            (b"P1\n2 2\n10#x\n1", 13, "truncated P1 payload: got 3 of 4 bits"),
+            (b"P1\n2 2\n1 0 011", 11, "trailing bits beyond 4"),
+        ],
+        ids=["bit-mid-token", "bit-in-last-token", "truncated", "truncated-after-comment",
+             "token-past-last-pixel"],
+    )
+    def test_p1_error_offsets(self, data, offset, message):
+        with pytest.raises(PbmError) as e:
+            read_pbm(data)
+        assert e.value.offset == offset
+        assert str(e.value) == f"{message} (byte offset {offset})"
+
+    @settings(max_examples=300, deadline=None)
+    @given(p1_inputs())
+    def test_p1_matches_reference_parser(self, data):
+        assume(next(_tokens(data))[0] != b"P4")  # an edit can turn the magic into P4
+        assert parse_outcome(read_pbm, data) == parse_outcome(reference_read_p1, data)
+
+    def test_p1_comment_in_payload(self):
+        assert read_pbm(b"P1\n2 2\n1 0# c 7\n 0 1") == bits("10\n01")
+
+    def test_p1_bits_without_whitespace(self):
+        assert read_pbm(b"P1\n2 2\n0110") == bits("01\n10")
+
+    def test_p1_tokens_after_last_pixel_ignored(self):
+        assert read_pbm(b"P1\n2 1\n1 0 garbage 7") == bits("10")
 
 
 class TestWritePbm:

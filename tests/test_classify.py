@@ -197,6 +197,12 @@ class TestModelPersistence:
         with pytest.raises(TypeError):
             Model((), 2)
 
+    def test_short_sample_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("viskey-model 48 1\nA\n")
+        with pytest.raises(ValueError, match="lacks a label and a source id"):
+            classify.load_model(path)
+
     def test_sample_count_mismatch(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("viskey-model 48 2\nA a_f0 " + " ".join(["0"] * 48) + "\n")

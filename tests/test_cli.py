@@ -114,6 +114,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "encode", "--no-such-flag")
         assert code == 2
 
+    def test_short_model_line(self, capsys, tmp_path, corpus_dir):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("viskey-model 48 1\nA\n")
+        code, _, err = run(capsys, "classify", str(corpus_dir / "A_f0.pbm"),
+                           "--model", str(model_path))
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "segment", "/nonexistent/file.pbm")
         assert code == 1

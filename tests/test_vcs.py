@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -175,6 +176,27 @@ class TestEncode:
         p = vcs.scheme_params(9)
         assert vcs.encode(secret, p, 42).shares == vcs.encode(secret, p, 42).shares
         assert vcs.encode(secret, p, 42).shares != vcs.encode(secret, p, 43).shares
+
+    # SHA-256 over every share's raster, in share order, for one fixed secret
+    # and seed: pins the output to the per-share encoder these digests were
+    # first taken from.
+    PINNED_DIGESTS = {
+        2: "90dbe17a558665f35a594729971b9b20bbb9af7320c35638967fafd0e758018c",
+        9: "96651b45cd6324abaef0d01515cb690e4d02b2eb2a8b5ef33090c145b7d59feb",
+        21: "5e44950178c5af8a7652f725e6dfa5499ec643030131701f356a74cb2d2e7220",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED_DIGESTS))
+    def test_output_pinned(self, n):
+        secret = random_image(np.random.default_rng(20), 17, 11)
+        p = vcs.scheme_params(n)
+        shares = vcs.encode(secret, p, 424242).shares
+        digest = hashlib.sha256()
+        for sh in shares:
+            assert (sh.height, sh.width) == (11 * p.block_h, 17 * p.block_w)
+            assert sh.a.flags.c_contiguous
+            digest.update(sh.a.tobytes())
+        assert digest.hexdigest() == self.PINNED_DIGESTS[n]
 
 
 class TestReconstruct:
