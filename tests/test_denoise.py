@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import bits, random_image
 from viskey import denoise, vcs
-from viskey.bitimage import BitImage, downsample_majority
+from viskey.bitimage import BitImage, downsample_majority, write_pbm
 from viskey.denoise import BlockWeights, FilterParams, adaptive_filter, default_params
 
 
@@ -203,3 +204,42 @@ class TestBlockMode:
             assert out.a.dtype == np.uint8
             assert out.a.tobytes() == adaptive_filter(img, replace(fp, blocks=None)).a.tobytes()
             assert out.a.tobytes() == denoise._window_filter(img.a, fp).tobytes()
+
+
+def _damaged_stacks(n, flip, torn):
+    """Seeded two-share stacks with subpixel flips at rate `flip` and, if
+    `torn`, a rectangle set to white; every case holds noise blocks."""
+    p = vcs.scheme_params(n)
+    rng = np.random.default_rng([n, int(flip * 1000), torn])
+    for trial in range(4):
+        secret = random_image(rng, 24, 16)
+        shares = vcs.encode(secret, p, 900 + trial).shares
+        i, j = rng.choice(n, size=2, replace=False)
+        a = vcs.reconstruct([shares[i], shares[j]]).a.copy()
+        a ^= (rng.random(a.shape) < flip).astype(np.uint8)
+        if torn:
+            r, c = rng.integers(0, a.shape[0] // 2), rng.integers(0, a.shape[1] // 2)
+            a[r : r + a.shape[0] // 3, c : c + a.shape[1] // 4] = 0
+        yield p, BitImage(a)
+
+
+class TestDamagedStackDecode:
+    # SHA-256 over the P4 bytes of each case's four decoded stacks
+    DIGESTS = {
+        (2, 0.005, False): "c3010bdeab328092f8871a262b981ca96ceae16447ece538029c00ad6e0a581f",
+        (2, 0.02, False): "f63f8b9a920c6e9a0d342229271416cae50621361fd0343a9df493ae7cd0213d",
+        (9, 0.005, False): "8d1be7a2dae9d68b2848730f6539b7067d8be67aeca6fe2383fa65d728c450b2",
+        (9, 0.02, False): "0511f082cb0d945abe89291b211eb662f91cdb84c3b9207e78e56da93e5e0739",
+        (21, 0.005, False): "bb825c8734273c24530f5f1569d6df65e55a03e59718952dc45889262525e571",
+        (21, 0.02, False): "5b8e40440f2d60b2d93148e4c162b9c7c460aa1baa99039564643153a53dc894",
+        (9, 0.02, True): "909419e9c0a86dfdfe8ac03f38c08e1e99b08dc6fdd4b8f336c9d8c2100b6be1",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS),
+                             ids=lambda c: f"n{c[0]}-{c[1]:.1%}" + ("-torn" if c[2] else ""))
+    def test_decode_digest_pinned(self, case):
+        digest = hashlib.sha256()
+        for p, img in _damaged_stacks(*case):
+            filtered = adaptive_filter(img, default_params(p))
+            digest.update(write_pbm(downsample_majority(filtered, p.block_h, p.block_w), "P4"))
+        assert digest.hexdigest() == self.DIGESTS[case]
