@@ -229,7 +229,9 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line:
                 return
             try:
-                reply, payload = self._dispatch(state, line.decode("utf-8").strip())
+                # undecodable bytes become U+FFFD, which no verb or group id accepts
+                text = line.decode("utf-8", errors="replace").strip()
+                reply, payload = self._dispatch(state, text)
             except ProtocolError as e:
                 reply, payload = f"ERR {e.code} {e}", b""
             except Exception as e:  # I/O failures close the connection

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitimage import BitImage, downsample_majority, read_pbm
-from .denoise import adaptive_filter, default_params
+from .bitimage import BitImage, read_pbm
+from .denoise import decide_blocks, default_params
 from .font import ALPHABET
 from .ocr import FEATURE_LEN, extract_features, normalize_glyph, segment
 from .vcs import SchemeParams
@@ -112,8 +112,7 @@ def classify_1nn(x, model: Model):
 
 def decode_string(img: BitImage, model: Model, params: SchemeParams) -> str:
     """Read a raw OR-stacked key image of the given scheme back into its text."""
-    filtered = adaptive_filter(img, default_params(params))
-    clean = downsample_majority(filtered, params.block_h, params.block_w)
+    clean = decide_blocks(img, default_params(params))
     out = []
     for box in segment(clean):
         label, _ = classify_1nn(extract_features(normalize_glyph(clean, box)), model)

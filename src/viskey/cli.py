@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import cas, classify, vcs
-from .bitimage import downsample_majority, read_pbm, write_pbm
+from .bitimage import DimensionError, read_pbm, write_pbm
 from .denoise import adaptive_filter, default_params
 from .font import default_corpus_dir
 from .ocr import extract_features, normalize_glyph, segment
@@ -24,21 +23,6 @@ def _read(path):
 
 def _write(path, img, variant):
     Path(path).write_bytes(write_pbm(img, variant))
-
-
-def _filter_params(args, params):
-    """The scheme's filter parameters, or without a scheme the 2-of-2
-    cutoffs in pixel mode, with the command-line overrides applied."""
-    if params is not None:
-        fp = default_params(params)
-    else:
-        fp = replace(default_params(vcs.scheme_params(2)), blocks=None)
-    overrides = {
-        name: value
-        for name in ("white_cutoff", "black_cutoff", "max_window")
-        if (value := getattr(args, name)) is not None
-    }
-    return replace(fp, **overrides)
 
 
 def build_parser():
@@ -67,12 +51,9 @@ def build_parser():
     p.add_argument("shares", nargs="+")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("denoise", help="adaptive-filter a stacked PBM")
+    p = sub.add_parser("denoise", help="decide each block of a stacked PBM")
     p.add_argument("image")
-    p.add_argument("--sidecar", default=None, help="share sidecar to derive defaults")
-    p.add_argument("--white-cutoff", type=float, default=None)
-    p.add_argument("--black-cutoff", type=float, default=None)
-    p.add_argument("--max-window", type=int, default=None)
+    p.add_argument("--sidecar", required=True, help="sidecar of any share in the stack")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("segment", help="print glyph bounding boxes")
@@ -177,11 +158,11 @@ def _run(args) -> int:
 
     if cmd == "denoise":
         img = _read(args.image)
-        params = None
-        if args.sidecar:
-            params, *_ = vcs.parse_sidecar(Path(args.sidecar).read_text())
-        fp = _filter_params(args, params)
-        _write(args.out, adaptive_filter(img, fp), "P1")
+        params, sw, sh, *_ = vcs.parse_sidecar(Path(args.sidecar).read_text())
+        if (img.width, img.height) != (sw * params.block_w, sh * params.block_h):
+            raise DimensionError(f"stack is {img.width}x{img.height}, the sidecar's shares are "
+                                 f"{sw * params.block_w}x{sh * params.block_h}")
+        _write(args.out, adaptive_filter(img, default_params(params)), "P1")
         return 0
 
     if cmd == "segment":

@@ -1,17 +1,17 @@
-"""Filter for OR-stacked share images: exact block counts, windowed fallback.
+"""Decode of OR-stacked share images: one decision per block.
 
-Block mode: in a clean stack of two or more shares, the number of black
-subpixels in a block is one of a few legal weights, and the weight alone
-tells white from black (the contrast property of the scheme). A block with a
-legal count becomes solid white or solid black; only blocks with any other
-count (noise) take the windowed filter's output.
+In a clean stack of two or more shares, the number of black subpixels in a
+block is one of a few legal weights, and the weight alone tells white from
+black (the contrast property of the scheme). A block with a legal count
+takes that colour. A block with any other count (noise) takes the majority,
+ties black, of the windowed filter's subpixels in that block.
 
-Pixel mode (no block geometry, or an image that does not tile into blocks):
-per pixel, the black ratio of a window clipped to the image is compared
-against two cutoffs: below the white cutoff the pixel becomes white, above
-the black cutoff it becomes black, and in between the window grows until the
-upper size limit; a pixel that is still undecided keeps its input value.
-All decisions read the input raster only, so visit order is irrelevant.
+Windowed filter: per pixel, the black ratio of a window clipped to the image
+is compared against two cutoffs: below the white cutoff the pixel becomes
+white, above the black cutoff it becomes black, and in between the window
+grows until the upper size limit; a pixel that is still undecided keeps its
+input value. All decisions read the input raster only, so visit order is
+irrelevant.
 """
 
 from __future__ import annotations
@@ -20,12 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitimage import BitImage
+from .bitimage import BitImage, DimensionError, downsample_majority
 from .vcs import TWO_OF_TWO, SchemeParams
+
+# odd window sizes, grown by an even step so every window stays centred
+INITIAL_WINDOW = 3
+MAX_WINDOW = 11
+GROWTH_STEP = 2
 
 
 @dataclass(frozen=True)
-class BlockWeights:
+class FilterParams:
     """Block geometry and the black-subpixel counts a clean stacked block of
     each colour can have."""
 
@@ -40,51 +45,32 @@ class BlockWeights:
         legal = range(self.block_h * self.block_w + 1)
         if not all(c in legal for c in self.white + self.black):
             raise ValueError(f"weights must lie in 0..{self.block_h * self.block_w}")
-        if set(self.white) & set(self.black):
-            raise ValueError("a count cannot be both a white and a black weight")
+        if not (self.white and self.black and max(self.white) < min(self.black)):
+            raise ValueError("every white weight must lie below every black weight")
 
-
-@dataclass(frozen=True)
-class FilterParams:
-    white_cutoff: float
-    black_cutoff: float
-    initial_window: int = 3
-    max_window: int = 11
-    growth_step: int = 2
-    blocks: BlockWeights | None = None  # None: pixel mode only
-
-    def __post_init__(self):
-        if not (0 < self.white_cutoff < self.black_cutoff < 1):
-            raise ValueError(
-                f"need 0 < white_cutoff < black_cutoff < 1, got "
-                f"{self.white_cutoff}, {self.black_cutoff}"
-            )
-        if self.initial_window % 2 == 0 or self.max_window % 2 == 0:
-            raise ValueError("window sizes must be odd")
-        if self.initial_window < 3 or self.max_window < self.initial_window:
-            raise ValueError("need 3 <= initial_window <= max_window")
-        if self.growth_step % 2:
-            raise ValueError("growth_step must be even")
+    @property
+    def cutoffs(self) -> tuple:
+        """The windowed filter's white and black cutoffs. d_w is the stacked
+        black density of a white block and d_b the least density of a black
+        one; the cutoffs sit at one-third margins inside the (d_w, d_b) gap."""
+        m = self.block_h * self.block_w
+        d_w, d_b = max(self.white) / m, min(self.black) / m
+        gap = d_b - d_w
+        return d_w + gap / 3, d_b - gap / 3
 
 
 def default_params(params: SchemeParams) -> FilterParams:
-    """Block weights and cutoffs derived from the scheme's stacked weights.
+    """The scheme's block geometry and stacked weights.
 
     All rows of the white basis matrix are equal, so a stack of any two or
     more shares gives a white block t-1 black subpixels; a black block has
-    2t-3 (two shares) up to m (2-of-2: 1 and 2). For the windowed fallback,
-    d_w is the stacked black density of a white region and d_b the minimum
-    stacked density of a black region; the cutoffs sit at one-third margins
-    inside the (d_w, d_b) gap.
+    2t-3 (two shares) up to m (2-of-2: 1 and 2).
     """
     if params.variant == TWO_OF_TWO:
         white, black = (1,), (2,)
     else:
         white, black = (params.t - 1,), tuple(range(2 * params.t - 3, params.m + 1))
-    d_w, d_b = white[0] / params.m, black[0] / params.m
-    gap = d_b - d_w
-    return FilterParams(d_w + gap / 3, d_b - gap / 3,
-                        blocks=BlockWeights(params.block_h, params.block_w, white, black))
+    return FilterParams(params.block_h, params.block_w, white, black)
 
 
 def _window_counts(cum, i0, i1, j0, j1):
@@ -93,33 +79,34 @@ def _window_counts(cum, i0, i1, j0, j1):
     return cum[i1, j1] - cum[i0, j1] - cum[i1, j0] + cum[i0, j0]
 
 
-def adaptive_filter(img: BitImage, p: FilterParams) -> BitImage:
-    """Block mode when p carries block weights and img tiles into blocks,
-    pixel mode otherwise (see the module docstring).
-
-    In block mode the windowed pass runs only if some block count is not a
-    legal weight, and its output is used for those blocks only.
-    """
-    b = p.blocks
+def decide_blocks(img: BitImage, fp: FilterParams) -> BitImage:
+    """One pixel per block (see the module docstring). The windowed pass runs
+    only if some block count is not a legal weight."""
+    bh, bw = fp.block_h, fp.block_w
     h, w = img.a.shape
-    if b is None or h % b.block_h or w % b.block_w:
-        return BitImage(_window_filter(img.a, p))
-    bh, bw = b.block_h, b.block_w
+    if h % bh or w % bw:
+        raise DimensionError(f"{w}x{h} not divisible into {bh}x{bw} blocks")
     counts = img.a.reshape(h // bh, bh, w // bw, bw).sum(axis=(1, 3))
     colour = np.full(bh * bw + 1, -1, dtype=np.int8)  # count -> 0 white, 1 black, -1 noise
-    colour[list(b.white)] = 0
-    colour[list(b.black)] = 1
-    per_block = colour[counts]
-    out = np.repeat(np.repeat(per_block, bh, axis=0), bw, axis=1)
+    colour[list(fp.white)] = 0
+    colour[list(fp.black)] = 1
+    out = colour[counts]
     noise = out < 0
     if noise.any():
-        out[noise] = _window_filter(img.a, p)[noise]
-    return BitImage(out.astype(np.uint8))
+        windowed = BitImage(_window_filter(img.a, *fp.cutoffs))
+        out[noise] = downsample_majority(windowed, bh, bw).a[noise]
+    return BitImage(out)
 
 
-def _window_filter(a: np.ndarray, p: FilterParams) -> np.ndarray:
-    """Pixel mode, vectorized over pixels, iterating window sizes from
-    initial to max.
+def adaptive_filter(img: BitImage, fp: FilterParams) -> BitImage:
+    """`decide_blocks` expanded back to solid blocks at the input's size."""
+    out = decide_blocks(img, fp).a
+    return BitImage(np.repeat(np.repeat(out, fp.block_h, axis=0), fp.block_w, axis=1))
+
+
+def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float) -> np.ndarray:
+    """The windowed filter, vectorized over pixels, iterating window sizes
+    from INITIAL_WINDOW to MAX_WINDOW.
 
     Comparisons are strict: a ratio strictly below the white cutoff decides
     white, strictly above the black cutoff decides black; a ratio exactly at
@@ -134,7 +121,7 @@ def _window_filter(a: np.ndarray, p: FilterParams) -> np.ndarray:
     out = a.copy()
     undecided = np.ones((h, w), dtype=bool)
 
-    win = p.initial_window
+    win = INITIAL_WINDOW
     while True:
         r = win // 2
         i0 = np.maximum(rows - r, 0)
@@ -145,13 +132,13 @@ def _window_filter(a: np.ndarray, p: FilterParams) -> np.ndarray:
         black = _window_counts(cum, np.broadcast_to(i0, (h, w)), np.broadcast_to(i1, (h, w)),
                                np.broadcast_to(j0, (h, w)), np.broadcast_to(j1, (h, w)))
         ratio = black / area
-        white_now = undecided & (ratio < p.white_cutoff)
-        black_now = undecided & (ratio > p.black_cutoff)
+        white_now = undecided & (ratio < white_cutoff)
+        black_now = undecided & (ratio > black_cutoff)
         out[white_now] = 0
         out[black_now] = 1
         undecided &= ~(white_now | black_now)
-        if win >= p.max_window or not undecided.any():
+        if win >= MAX_WINDOW or not undecided.any():
             break
-        win += p.growth_step
+        win += GROWTH_STEP
     # pixels still undecided keep their input value (out started as a copy)
     return out

@@ -225,6 +225,15 @@ class TestProtocolInput:
         finally:
             c.close()
 
+    def test_non_utf8_line_keeps_connection(self, server):
+        c = cas.CasClient("127.0.0.1", server.server_address[1])
+        try:
+            c.sock.sendall(b"AUTH \xff\xfe\n")
+            assert c.rfile.readline().startswith(b"ERR usage")
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()
+
     def test_group_id_stays_inside_state_dir(self, server, tmp_path):
         c = cas.CasClient("127.0.0.1", server.server_address[1])
         try:

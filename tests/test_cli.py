@@ -15,6 +15,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _stack(capsys, tmp_path, n):
+    """Render K7, split it into n shares and stack the first two; returns
+    the key image, the stack and the first share's sidecar."""
+    key_pbm = tmp_path / "key.pbm"
+    run(capsys, "render", "K7", "--out", str(key_pbm))
+    prefix = str(tmp_path / f"sh{n}")
+    run(capsys, "encode", str(key_pbm), "--scheme", str(n), "--seed", "3",
+        "--out-prefix", prefix)
+    merged = tmp_path / f"merged{n}.pbm"
+    run(capsys, "reconstruct", prefix + "_1.pbm", prefix + "_2.pbm", "--out", str(merged))
+    return key_pbm, merged, prefix + "_1.txt"
+
+
 class TestKeygen:
     def test_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "keygen", "--length", "8", "--seed", "5")
@@ -61,17 +74,10 @@ class TestPipelineStages:
         assert code == 0 and out.strip() == "4V"
 
     @pytest.mark.parametrize("n", [2, 9])
-    def test_denoise_overrides_keep_block_mode(self, capsys, tmp_path, n):
-        key_pbm = tmp_path / "key.pbm"
-        run(capsys, "render", "K7", "--out", str(key_pbm))
-        prefix = str(tmp_path / "sh")
-        run(capsys, "encode", str(key_pbm), "--scheme", str(n), "--seed", "3",
-            "--out-prefix", prefix)
-        merged = tmp_path / "merged.pbm"
-        run(capsys, "reconstruct", prefix + "_1.pbm", prefix + "_2.pbm", "--out", str(merged))
+    def test_denoise_recovers_key(self, capsys, tmp_path, n):
+        key_pbm, merged, sidecar = _stack(capsys, tmp_path, n)
         clean = tmp_path / "clean.pbm"
-        code, _, _ = run(capsys, "denoise", str(merged), "--sidecar", prefix + "_1.txt",
-                         "--white-cutoff", "0.05", "--max-window", "3", "--out", str(clean))
+        code, _, _ = run(capsys, "denoise", str(merged), "--sidecar", sidecar, "--out", str(clean))
         assert code == 0
         p = vcs.scheme_params(n)
         recovered = downsample_majority(read_pbm(clean.read_bytes()), p.block_h, p.block_w)
@@ -121,6 +127,27 @@ class TestExitCodes:
                            "--model", str(model_path))
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [["--white-cutoff", "0.05"], ["--black-cutoff", "0.9"],
+                                       ["--max-window", "3"], None])
+    def test_denoise_removed_flags_and_missing_sidecar(self, capsys, tmp_path, flags):
+        _, merged, sidecar = _stack(capsys, tmp_path, 2)
+        sidecar_args = [] if flags is None else ["--sidecar", sidecar, *flags]
+        code, _, _ = run(capsys, "denoise", str(merged), *sidecar_args,
+                         "--out", str(tmp_path / "clean.pbm"))
+        assert code == 2
+
+    @pytest.mark.parametrize("stack_n,sidecar_n", [(2, 9), (9, 21)])
+    def test_denoise_wrong_scheme_sidecar(self, capsys, tmp_path, stack_n, sidecar_n):
+        # a 2-of-2 stack of K7 tiles into 2x3 blocks too; the sidecar's share
+        # size still tells the schemes apart
+        _, merged, _ = _stack(capsys, tmp_path, stack_n)
+        _, _, sidecar = _stack(capsys, tmp_path, sidecar_n)
+        clean = tmp_path / "clean.pbm"
+        code, _, err = run(capsys, "denoise", str(merged), "--sidecar", sidecar, "--out", str(clean))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not clean.exists()
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "segment", "/nonexistent/file.pbm")

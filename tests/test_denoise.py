@@ -1,67 +1,56 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import bits, random_image
 from viskey import denoise, vcs
-from viskey.bitimage import BitImage, downsample_majority, write_pbm
-from viskey.denoise import BlockWeights, FilterParams, adaptive_filter, default_params
+from viskey.bitimage import BitImage, DimensionError, downsample_majority, write_pbm
+from viskey.denoise import FilterParams, adaptive_filter, decide_blocks, default_params
+
+TWO_OF_TWO_CUTOFFS = default_params(vcs.scheme_params(2)).cutoffs
 
 
 class TestFilterParams:
     def test_cutoff_order(self):
         with pytest.raises(ValueError):
-            FilterParams(0.8, 0.5)
+            FilterParams(1, 2, (2,), (1,))
         with pytest.raises(ValueError):
-            FilterParams(0.0, 0.5)
-
-    def test_windows_odd(self):
+            FilterParams(2, 3, (2, 4), (3, 5))
         with pytest.raises(ValueError):
-            FilterParams(0.3, 0.6, initial_window=4)
-        with pytest.raises(ValueError):
-            FilterParams(0.3, 0.6, max_window=10)
-
-    def test_window_order(self):
-        with pytest.raises(ValueError):
-            FilterParams(0.3, 0.6, initial_window=11, max_window=9)
-
-    def test_growth_step_even(self):
-        with pytest.raises(ValueError):
-            FilterParams(0.3, 0.6, growth_step=3)
+            FilterParams(1, 2, (), (2,))
+        lo, hi = FilterParams(2, 3, (0, 1), (5, 6)).cutoffs
+        assert 0 < lo < hi < 1
 
     def test_block_weights_disjoint_and_in_range(self):
         with pytest.raises(ValueError):
-            BlockWeights(1, 2, (1,), (1, 2))
+            FilterParams(1, 2, (1,), (1, 2))
         with pytest.raises(ValueError):
-            BlockWeights(1, 2, (1,), (3,))
+            FilterParams(1, 2, (1,), (3,))
         with pytest.raises(ValueError):
-            BlockWeights(0, 2, (1,), (2,))
+            FilterParams(0, 2, (1,), (2,))
 
 
 class TestDefaultParams:
     def test_two_of_two_cutoffs(self):
         fp = default_params(vcs.scheme_params(2))
-        assert fp.white_cutoff == pytest.approx(2 / 3)
-        assert fp.black_cutoff == pytest.approx(5 / 6)
-        assert (fp.initial_window, fp.max_window, fp.growth_step) == (3, 11, 2)
+        assert fp.cutoffs == pytest.approx((2 / 3, 5 / 6))
+        assert (denoise.INITIAL_WINDOW, denoise.MAX_WINDOW, denoise.GROWTH_STEP) == (3, 11, 2)
 
     def test_t3_cutoffs(self):
         fp = default_params(vcs.scheme_params(9))
-        assert fp.white_cutoff == pytest.approx(0.3889, abs=1e-4)
-        assert fp.black_cutoff == pytest.approx(0.4444, abs=1e-4)
+        assert fp.cutoffs == pytest.approx((0.3889, 0.4444), abs=1e-4)
 
     def test_block_weights(self):
-        assert default_params(vcs.scheme_params(2)).blocks == BlockWeights(1, 2, (1,), (2,))
-        assert default_params(vcs.scheme_params(9)).blocks == BlockWeights(2, 3, (2,), (3, 4, 5, 6))
-        assert default_params(vcs.scheme_params(12)).blocks == BlockWeights(
+        assert default_params(vcs.scheme_params(2)) == FilterParams(1, 2, (1,), (2,))
+        assert default_params(vcs.scheme_params(9)) == FilterParams(2, 3, (2,), (3, 4, 5, 6))
+        assert default_params(vcs.scheme_params(12)) == FilterParams(
             3, 4, (3,), (5, 6, 7, 8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n", [2, 9, 12, 15])
     def test_ordering(self, n):
-        fp = default_params(vcs.scheme_params(n))
-        assert fp.white_cutoff < fp.black_cutoff
+        lo, hi = default_params(vcs.scheme_params(n)).cutoffs
+        assert lo < hi
 
 
 class TestAdaptiveFilter:
@@ -77,79 +66,71 @@ class TestAdaptiveFilter:
         tile = np.tile([1, 0], (20, 10)).astype(np.uint8)
         out = adaptive_filter(BitImage(tile), fp)
         assert out.a[5:15, 5:15].sum() == 0
+        assert denoise._window_filter(tile, *fp.cutoffs)[5:15, 5:15].sum() == 0
 
     def test_single_white_speck_restored(self):
-        fp = default_params(vcs.scheme_params(2))
         a = np.ones((9, 9), dtype=np.uint8)
         a[4, 4] = 0
-        out = adaptive_filter(BitImage(a), fp)
-        assert out.a[4, 4] == 1
+        assert denoise._window_filter(a, *TWO_OF_TWO_CUTOFFS)[4, 4] == 1
 
     def test_single_black_speck_removed(self):
-        fp = default_params(vcs.scheme_params(2))
         a = np.zeros((9, 9), dtype=np.uint8)
         a[4, 4] = 1
-        out = adaptive_filter(BitImage(a), fp)
-        assert out.a[4, 4] == 0
+        assert denoise._window_filter(a, *TWO_OF_TWO_CUTOFFS)[4, 4] == 0
 
     def test_exact_cutoff_is_indecisive(self):
-        # a 3x3 image whose every clipped window ratio stays pinned between
-        # the cutoffs: undecided pixels must keep their input value
-        fp = FilterParams(4 / 9, 2 / 3, initial_window=3, max_window=3)
-        img = bits("110\n011\n100")  # 5 of 9 black; corner windows 2/4 or 3/4
-        out = adaptive_filter(img, fp)
+        # a 3x3 image: every window from 3x3 up clips to the whole image, so
+        # the center ratio stays pinned between the cutoffs and the
+        # undecided pixel must keep its input value
+        img = bits("110\n011\n100")  # 5 of 9 black
+        out = denoise._window_filter(img.a, 4 / 9, 2 / 3)
         # center window ratio 5/9: between 4/9 and 6/9 exclusive -> unchanged
-        assert out.a[1, 1] == img.a[1, 1]
+        assert out[1, 1] == img.a[1, 1]
 
     def test_strict_comparison_at_cutoff(self):
         # ratio exactly equal to the white cutoff must NOT decide white
-        fp = FilterParams(5 / 9, 8 / 9, initial_window=3, max_window=3)
-        img = bits("110\n011\n100")  # every full window ratio 5/9 at center
-        out = adaptive_filter(img, fp)
-        assert out.a[1, 1] == 1  # stays black because 5/9 is not < 5/9
+        img = bits("110\n011\n100")  # every window ratio 5/9 at center
+        out = denoise._window_filter(img.a, 5 / 9, 8 / 9)
+        assert out[1, 1] == 1  # stays black because 5/9 is not < 5/9
 
     def test_border_clipping(self):
         # corner pixel of an all-black image sees a 2x2 clipped window: ratio 1
-        fp = default_params(vcs.scheme_params(2))
-        img = BitImage(np.ones((3, 3), dtype=np.uint8))
-        assert adaptive_filter(img, fp).a[0, 0] == 1
+        a = np.ones((3, 3), dtype=np.uint8)
+        assert denoise._window_filter(a, *TWO_OF_TWO_CUTOFFS)[0, 0] == 1
 
     def test_interior_stability(self):
-        # a pixel whose max_window neighborhood is uniform keeps its color
-        fp = default_params(vcs.scheme_params(2))
+        # a pixel whose largest-window neighborhood is uniform keeps its color
         a = np.zeros((30, 30), dtype=np.uint8)
         a[:, 15:] = 1
-        out = adaptive_filter(BitImage(a), fp)
-        assert out.a[15, 0:9].sum() == 0
-        assert out.a[15, 21:30].sum() == 9
+        out = denoise._window_filter(a, *TWO_OF_TWO_CUTOFFS)
+        assert out[15, 0:9].sum() == 0
+        assert out[15, 21:30].sum() == 9
 
     def test_window_growth_used(self):
         # 3x3 ratio indecisive, 5x5 decisive white: checkerboard patch inside
         # a white field under tight cutoffs
-        fp = FilterParams(0.4, 0.7, initial_window=3, max_window=5)
         a = np.zeros((11, 11), dtype=np.uint8)
         a[4:7, 4:7] = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
-        out = adaptive_filter(BitImage(a), fp)
+        out = denoise._window_filter(a, 0.4, 0.7)
         # center: 3x3 ratio 5/9 between cutoffs; 5x5 ratio 5/25 < 0.4 -> white
-        assert out.a[5, 5] == 0
+        assert out[5, 5] == 0
 
     def test_monotone_sanity(self):
         # raising both cutoffs by the same amount never turns a white output
         # pixel black
         rng = np.random.default_rng(23)
-        lo = FilterParams(0.4, 0.6)
-        hi = FilterParams(0.5, 0.7)
         for _ in range(10):
-            img = random_image(rng, 16, 16)
-            out_lo = adaptive_filter(img, lo)
-            out_hi = adaptive_filter(img, hi)
-            assert not np.any((out_lo.a == 0) & (out_hi.a == 1))
+            a = random_image(rng, 16, 16).a
+            out_lo = denoise._window_filter(a, 0.4, 0.6)
+            out_hi = denoise._window_filter(a, 0.5, 0.7)
+            assert not np.any((out_lo == 0) & (out_hi == 1))
 
     def test_pure_function(self):
         rng = np.random.default_rng(29)
         img = random_image(rng, 20, 20)
         fp = default_params(vcs.scheme_params(2))
         assert adaptive_filter(img, fp) == adaptive_filter(img, fp)
+        assert decide_blocks(img, fp) == decide_blocks(img, fp)
 
 
 class TestBlockMode:
@@ -164,6 +145,7 @@ class TestBlockMode:
             for k in sorted({2, min(3, n), n}):
                 picked = rng.choice(n, size=k, replace=False)
                 stacked = vcs.reconstruct([shares[i] for i in picked])
+                assert decide_blocks(stacked, fp) == secret, k
                 filtered = adaptive_filter(stacked, fp)
                 assert downsample_majority(filtered, p.block_h, p.block_w) == secret, k
 
@@ -176,34 +158,40 @@ class TestBlockMode:
         secret = random_image(np.random.default_rng(37), 16, 8)
         shares = vcs.encode(secret, p, 41).shares
         for k in (2, 3, 9):
-            filtered = adaptive_filter(vcs.reconstruct(shares[:k]), default_params(p))
-            assert downsample_majority(filtered, p.block_h, p.block_w) == secret, k
+            assert decide_blocks(vcs.reconstruct(shares[:k]), default_params(p)) == secret, k
 
-    def test_noise_block_takes_windowed_output_only(self):
-        # every 1x2 block holds one black subpixel (white under 2-of-2) except
-        # one planted block with none; cutoffs this low make the windowed
-        # filter call the whole image black
-        fp = replace(default_params(vcs.scheme_params(2)), white_cutoff=0.1, black_cutoff=0.2)
+    def test_noise_block_takes_windowed_output_only(self, monkeypatch):
+        # every 1x2 block holds one black subpixel (white under 2-of-2)
+        # except two planted noise blocks with none; the stand-in windowed
+        # filter calls every subpixel black but splits the second noise block
+        # 1:1, a tie that goes black
+        fp = default_params(vcs.scheme_params(2))
         a = np.tile([1, 0], (6, 5)).astype(np.uint8)
         a[3, 4:6] = 0
-        img = BitImage(a)
-        windowed = adaptive_filter(img, replace(fp, blocks=None))
-        assert windowed.a.all()
-        out = adaptive_filter(img, fp)
-        expected = np.zeros_like(a)
-        expected[3, 4:6] = windowed.a[3, 4:6]
-        assert np.array_equal(out.a, expected)
+        a[5, 0:2] = 0
+        calls = []
+
+        def windowed(arr, lo, hi):
+            calls.append((lo, hi))
+            out = np.ones_like(arr)
+            out[5, 0] = 0
+            return out
+
+        monkeypatch.setattr(denoise, "_window_filter", windowed)
+        expected = np.zeros((6, 5), dtype=np.uint8)
+        expected[3, 2] = expected[5, 0] = 1
+        assert np.array_equal(decide_blocks(BitImage(a), fp).a, expected)
+        assert calls == [fp.cutoffs]
+        assert np.array_equal(adaptive_filter(BitImage(a), fp).a, np.repeat(expected, 2, axis=1))
 
     @pytest.mark.parametrize("n,h,w", [(2, 9, 9), (2, 3, 3), (9, 8, 10), (9, 7, 9)])
-    def test_untiled_image_is_pixel_mode(self, n, h, w):
+    def test_untiled_image_raises(self, n, h, w):
         fp = default_params(vcs.scheme_params(n))
-        rng = np.random.default_rng(43)
-        for _ in range(5):
-            img = random_image(rng, w, h)
-            out = adaptive_filter(img, fp)
-            assert out.a.dtype == np.uint8
-            assert out.a.tobytes() == adaptive_filter(img, replace(fp, blocks=None)).a.tobytes()
-            assert out.a.tobytes() == denoise._window_filter(img.a, fp).tobytes()
+        img = random_image(np.random.default_rng(43), w, h)
+        with pytest.raises(DimensionError):
+            decide_blocks(img, fp)
+        with pytest.raises(DimensionError):
+            adaptive_filter(img, fp)
 
 
 def _damaged_stacks(n, flip, torn):
@@ -238,8 +226,10 @@ class TestDamagedStackDecode:
     @pytest.mark.parametrize("case", list(DIGESTS),
                              ids=lambda c: f"n{c[0]}-{c[1]:.1%}" + ("-torn" if c[2] else ""))
     def test_decode_digest_pinned(self, case):
-        digest = hashlib.sha256()
+        via_filter, direct = hashlib.sha256(), hashlib.sha256()
         for p, img in _damaged_stacks(*case):
-            filtered = adaptive_filter(img, default_params(p))
-            digest.update(write_pbm(downsample_majority(filtered, p.block_h, p.block_w), "P4"))
-        assert digest.hexdigest() == self.DIGESTS[case]
+            fp = default_params(p)
+            filtered = adaptive_filter(img, fp)
+            via_filter.update(write_pbm(downsample_majority(filtered, p.block_h, p.block_w), "P4"))
+            direct.update(write_pbm(decide_blocks(img, fp), "P4"))
+        assert via_filter.hexdigest() == direct.hexdigest() == self.DIGESTS[case]
