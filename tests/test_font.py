@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 
-from viskey.bitimage import read_pbm
+from viskey.bitimage import write_pbm
 from viskey.font import ALPHABET, FONT_IDS, base_glyph, build_corpus, render_variant
 from viskey.ocr import GLYPH_SIZE, segment
 
@@ -39,10 +41,17 @@ class TestCorpus:
         assert build_corpus(tmp_path) == 360
         assert len(list(tmp_path.glob("*.pbm"))) == 360
 
-    def test_bundled_corpus_matches_generator(self, corpus_dir):
-        files = sorted(corpus_dir.glob("*.pbm"))
-        assert len(files) == 360
-        for path in files:
-            label, _, fid = path.stem.partition("_")
-            img = read_pbm(path.read_bytes())
-            assert img == render_variant(label, fid), path.name
+    def test_glyph_digest_pinned(self, corpus_dir):
+        """SHA-256 over <LABEL>_<FONTID>.pbm names and P1 bytes of all 360
+        glyphs, taken from the bundled corpus files."""
+        pinned = "05e54a1ec081fed61fd4905c4b919ee7c2001d1e16a7e924b89420ed5b0b27f8"
+        generated = hashlib.sha256()
+        for label in ALPHABET:
+            for fid in FONT_IDS:
+                name = f"{label}_{fid}.pbm"
+                generated.update(name.encode() + write_pbm(render_variant(label, fid), "P1"))
+        bundled = hashlib.sha256()
+        for path in sorted(corpus_dir.glob("*.pbm")):
+            bundled.update(path.name.encode() + path.read_bytes())
+        assert generated.hexdigest() == pinned
+        assert bundled.hexdigest() == pinned
