@@ -21,7 +21,7 @@ import numpy as np
 from . import vcs
 from .bitimage import BitImage, read_pbm, write_pbm
 from .classify import Model, decode_string
-from .font import ALPHABET, default_corpus_dir
+from .font import ALPHABET, render_variant
 from .ocr import GLYPH_SIZE
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ def generate_key(length: int, seed: int) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
 
-def render_key_image(key: str, corpus_dir, font_id: str = DEFAULT_FONT,
+def render_key_image(key: str, font_id: str = DEFAULT_FONT,
                      spacing: int = DEFAULT_SPACING) -> BitImage:
     """Lay the key's corpus glyphs on a white canvas, left to right, with
     `spacing` blank columns between glyphs and a 2-pixel white margin."""
@@ -77,13 +77,7 @@ def render_key_image(key: str, corpus_dir, font_id: str = DEFAULT_FONT,
         raise ValueError("empty key")
     if spacing < 2:
         raise ValueError("spacing must be >= 2 so glyphs stay separable")
-    corpus_dir = Path(corpus_dir)
-    glyphs = []
-    for ch in key:
-        path = corpus_dir / f"{ch}_{font_id}.pbm"
-        if not path.exists():
-            raise FileNotFoundError(f"no corpus glyph for {ch!r} in font {font_id}: {path}")
-        glyphs.append(read_pbm(path.read_bytes()))
+    glyphs = [render_variant(ch, font_id) for ch in key]
     height = 2 * MARGIN + GLYPH_SIZE
     width = 2 * MARGIN + sum(g.width for g in glyphs) + spacing * (len(glyphs) - 1)
     canvas = np.zeros((height, width), dtype=np.uint8)
@@ -95,14 +89,12 @@ def render_key_image(key: str, corpus_dir, font_id: str = DEFAULT_FONT,
 
 
 def create_group(group_id: str, n: int, key_length: int, seed: int,
-                 corpus_dir=None, font_id: str = DEFAULT_FONT,
-                 spacing: int = DEFAULT_SPACING) -> GroupRecord:
+                 font_id: str = DEFAULT_FONT, spacing: int = DEFAULT_SPACING) -> GroupRecord:
     """Generate a key, render it, split it into n shares."""
     params = vcs.scheme_params(n)
-    corpus_dir = corpus_dir if corpus_dir is not None else default_corpus_dir()
     rng_seeds = np.random.SeedSequence(seed).spawn(2)
     key = generate_key(key_length, rng_seeds[0].generate_state(1)[0])
-    secret = render_key_image(key, corpus_dir, font_id, spacing)
+    secret = render_key_image(key, font_id, spacing)
     shares = vcs.encode(secret, params, int(rng_seeds[1].generate_state(1)[0]))
     return GroupRecord(group_id, key, params, shares.shares, secret.width, secret.height)
 
@@ -132,6 +124,8 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
 # file persistence
 
 def save_record(record: GroupRecord, state_dir) -> None:
+    """Write record.txt and any share file not yet on disk. Submission
+    files are written only by `save_submission`."""
     gdir = Path(state_dir) / record.group_id
     gdir.mkdir(parents=True, exist_ok=True)
     p = record.params
@@ -148,8 +142,14 @@ def save_record(record: GroupRecord, state_dir) -> None:
         path = gdir / f"share_{i}.pbm"
         if not path.exists():
             path.write_bytes(write_pbm(share, "P4"))
-    for i, img in record.submissions.items():
-        (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(img, "P4"))
+
+
+def save_submission(record: GroupRecord, member: int, state_dir) -> None:
+    """Persist one member's submission into the group's saved record, then
+    the record.txt that lists it."""
+    path = Path(state_dir) / record.group_id / f"submission_{member}.pbm"
+    path.write_bytes(write_pbm(record.submissions[member], "P4"))
+    save_record(record, state_dir)
 
 
 def load_record(group_id: str, state_dir) -> GroupRecord:
@@ -178,10 +178,9 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
 class CasState:
     """Server-side group table with per-group locking and file persistence."""
 
-    def __init__(self, state_dir, model: Model, corpus_dir=None):
+    def __init__(self, state_dir, model: Model):
         self.state_dir = Path(state_dir)
         self.model = model
-        self.corpus_dir = corpus_dir if corpus_dir is not None else default_corpus_dir()
         self._records = {}
         self._locks = {}
         self._table_lock = threading.Lock()
@@ -276,7 +275,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 if state.get(gid) is not None:
                     raise ProtocolError("exists", f"group {gid} already exists")
                 try:
-                    record = create_group(gid, n, key_len, seed, state.corpus_dir)
+                    record = create_group(gid, n, key_len, seed)
                 except ValueError as e:
                     raise ProtocolError("badscheme", str(e))
                 state.put(record)
@@ -313,7 +312,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ProtocolError("badpbm", str(e))
             with state.lock_for(gid):
                 record.submissions[member] = img
-                save_record(record, state.state_dir)
+                save_submission(record, member, state.state_dir)
                 count = len(record.submissions)
             return f"ACCEPTED {count}", b""
 
@@ -350,9 +349,9 @@ class CasServer(socketserver.ThreadingTCPServer):
         self.cas_state = state
 
 
-def serve(port: int, state_dir, model: Model, corpus_dir=None, host="127.0.0.1"):
+def serve(port: int, state_dir, model: Model, host="127.0.0.1"):
     """Run the CAS service until interrupted."""
-    state = CasState(state_dir, model, corpus_dir)
+    state = CasState(state_dir, model)
     server = CasServer((host, port), state)
     log.info("CAS listening on %s:%d, state in %s", host, port, state_dir)
     try:

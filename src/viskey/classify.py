@@ -2,9 +2,9 @@
 
 A clean stack of shares decodes back to the secret bit for bit (exact
 block-count decode, see `denoise`), so a character read from a stacked key
-image looks exactly like its corpus glyph. The model therefore learns the
-corpus glyphs as they are, and one model serves every scheme; queries match
-by plain Euclidean nearest neighbor.
+image looks exactly like its corpus glyph from `font.corpus()`. The model
+therefore learns the corpus glyphs as they are, and one model serves every
+scheme; queries match by plain Euclidean nearest neighbor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitimage import BitImage, read_pbm
+from .bitimage import BitImage
 from .denoise import decide_blocks, default_params
 from .font import ALPHABET
 from .ocr import FEATURE_LEN, extract_features, normalize_glyph, segment
@@ -69,33 +69,28 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.sum((b - a) ** 2)))
 
 
-def train_model(corpus_dir) -> Model:
-    """Train on every <LABEL>_<FONTID>.pbm in corpus_dir.
+def train_model(glyphs) -> Model:
+    """Train on (source_id, BitImage) pairs such as `font.corpus()`; each
+    source id has the form <LABEL>_<FONTID>.
 
-    Features are taken from each glyph as it is; files that do not segment
+    Features are taken from each glyph as it is; images that do not segment
     into exactly one glyph are skipped with a warning.
     """
-    corpus_dir = Path(corpus_dir)
-    files = sorted(corpus_dir.glob("*.pbm"))
-    if not files:
-        raise ValueError(f"no corpus files in {corpus_dir}")
     samples = []
     skipped = []
-    for path in files:
-        stem = path.stem
-        label, _, font_id = stem.partition("_")
+    for source_id, glyph in glyphs:
+        label, _, font_id = source_id.partition("_")
         if label not in ALPHABET or not font_id:
-            raise ValueError(f"corpus filename {path.name} not of form <LABEL>_<FONTID>.pbm")
-        glyph = read_pbm(path.read_bytes())
+            raise ValueError(f"corpus source id {source_id!r} not of form <LABEL>_<FONTID>")
         boxes = segment(glyph)
         if len(boxes) != 1:
-            log.warning("skipping %s: segmentation found %d glyphs", path.name, len(boxes))
-            skipped.append(path.name)
+            log.warning("skipping %s: segmentation found %d glyphs", source_id, len(boxes))
+            skipped.append(source_id)
             continue
         feats = extract_features(normalize_glyph(glyph, boxes[0]))
-        samples.append(LabeledSample(label, feats, stem))
+        samples.append(LabeledSample(label, feats, source_id))
     if not samples:
-        raise ValueError(f"no usable corpus files in {corpus_dir}")
+        raise ValueError("no usable corpus glyphs")
     return Model(tuple(samples), skipped=tuple(skipped))
 
 

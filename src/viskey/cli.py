@@ -10,10 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import cas, classify, vcs
+from . import cas, classify, font, vcs
 from .bitimage import DimensionError, read_pbm, write_pbm
 from .denoise import adaptive_filter, default_params
-from .font import default_corpus_dir
 from .ocr import extract_features, normalize_glyph, segment
 
 
@@ -35,7 +34,6 @@ def build_parser():
 
     p = sub.add_parser("render", help="render a key string as a PBM image")
     p.add_argument("key")
-    p.add_argument("--corpus", default=None)
     p.add_argument("--font", default=cas.DEFAULT_FONT)
     p.add_argument("--spacing", type=int, default=cas.DEFAULT_SPACING)
     p.add_argument("--out", required=True)
@@ -62,8 +60,7 @@ def build_parser():
     p = sub.add_parser("features", help="print the 48 features of a glyph image")
     p.add_argument("image")
 
-    p = sub.add_parser("train", help="train the recognition model, one for every scheme")
-    p.add_argument("--corpus", default=None, help="directory of <LABEL>_<FONTID>.pbm")
+    p = sub.add_parser("train", help="train the recognition model on the built-in glyphs")
     # accepted for older command lines; training depends on neither
     p.add_argument("--scheme", type=int, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
@@ -98,19 +95,13 @@ def build_parser():
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--corpus", default=None)
     p.add_argument("--host", default="127.0.0.1")
 
     p = sub.add_parser("demo", help="full create/distribute/authenticate story")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--key-len", type=int, default=6)
-    p.add_argument("--corpus", default=None)
     return ap
-
-
-def _corpus(arg):
-    return Path(arg) if arg else default_corpus_dir()
 
 
 def run_cli(argv) -> int:
@@ -122,7 +113,7 @@ def run_cli(argv) -> int:
 
     try:
         return _run(args)
-    except (ValueError, FileNotFoundError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -135,7 +126,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "render":
-        img = cas.render_key_image(args.key, _corpus(args.corpus), args.font, args.spacing)
+        img = cas.render_key_image(args.key, args.font, args.spacing)
         _write(args.out, img, "P1")
         return 0
 
@@ -181,7 +172,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "train":
-        model = classify.train_model(_corpus(args.corpus))
+        model = classify.train_model(font.corpus())
         classify.save_model(model, args.out)
         print(f"trained {len(model.samples)} samples ({len(model.skipped)} skipped)")
         return 0
@@ -225,7 +216,7 @@ def _run(args) -> int:
 
     if cmd == "serve":
         model = classify.load_model(args.model)
-        cas.serve(args.port, args.state, model, _corpus(args.corpus), args.host)
+        cas.serve(args.port, args.state, model, args.host)
         return 0
 
     if cmd == "demo":
@@ -235,13 +226,12 @@ def _run(args) -> int:
 
 
 def _demo(args) -> int:
-    corpus = _corpus(args.corpus)
     params = vcs.scheme_params(args.n)
     print(f"scheme: n={params.n} m={params.m} block={params.block_h}x{params.block_w}")
-    record = cas.create_group("demo", args.n, args.key_len, args.seed, corpus)
+    record = cas.create_group("demo", args.n, args.key_len, args.seed)
     print(f"key: {record.key}")
     print(f"shares: {params.n} of {record.shares[0].width}x{record.shares[0].height}")
-    model = classify.train_model(corpus)
+    model = classify.train_model(font.corpus())
     print(f"model: {len(model.samples)} samples")
     record.submissions[1] = record.shares[0]
     record.submissions[2] = record.shares[1]

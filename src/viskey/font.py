@@ -1,19 +1,17 @@
-"""Built-in 5x7 glyph set and the generator for the bundled training corpus.
+"""Built-in 5x7 glyph set: the one source of every glyph the package draws.
 
-The corpus is 36 classes (0-9, A-Z) times 10 font variants, pre-rendered as
-32x32 PBM files named <LABEL>_<FONTID>.pbm. Variants are derived from one
-hand-drawn base by thickening, shearing and resampling, so results are
-reproducible without any font-rendering dependency.
+The corpus is 36 classes (0-9, A-Z) times 10 font variants of 32x32 glyphs,
+generated in memory. Key images are drawn from it and the recognition model
+is trained on it. Variants are derived from one hand-drawn base by
+thickening, shearing and resampling, so results are reproducible without any
+font-rendering dependency or data file.
 """
 
 from __future__ import annotations
 
-import importlib.resources
-from pathlib import Path
-
 import numpy as np
 
-from .bitimage import BitImage, Rect, crop, scale_nn, write_pbm
+from .bitimage import BitImage, Rect, crop, scale_nn
 from .ocr import GLYPH_SIZE
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -64,7 +62,9 @@ _GLYPHS = {
 
 
 def base_glyph(label: str) -> np.ndarray:
-    rows = _GLYPHS[label]
+    rows = _GLYPHS.get(label)
+    if rows is None:
+        raise ValueError(f"no glyph for {label!r}: the alphabet is 0-9, A-Z")
     return np.array([[1 if ch == "#" else 0 for ch in row] for row in rows], dtype=np.uint8)
 
 
@@ -105,6 +105,8 @@ def _tight(a):
 def render_variant(label: str, font_id: str) -> BitImage:
     """One 32x32 corpus bitmap: base glyph -> variant transform -> tight crop
     -> stretch to the classification grid."""
+    if font_id not in FONT_IDS:
+        raise ValueError(f"unknown font id {font_id!r}")
     base = base_glyph(label)
     i = FONT_IDS.index(font_id)
     if i == 0:
@@ -125,26 +127,13 @@ def render_variant(label: str, font_id: str) -> BitImage:
         a = _dilate(_upscale(base, 3), 1, 0)  # vertically bold
     elif i == 8:
         a = _upscale(base, 5)[:, ::2]  # condensed
-    elif i == 9:
-        a = _dilate(_upscale(base, 5), 2, 2)  # heavy
     else:
-        raise ValueError(f"unknown font id {font_id!r}")
+        a = _dilate(_upscale(base, 5), 2, 2)  # heavy
     return scale_nn(_tight(a), GLYPH_SIZE, GLYPH_SIZE)
 
 
-def build_corpus(directory) -> int:
-    """Write all 360 corpus files into `directory`; returns the file count."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for label in ALPHABET:
-        for font_id in FONT_IDS:
-            img = render_variant(label, font_id)
-            (directory / f"{label}_{font_id}.pbm").write_bytes(write_pbm(img, "P1"))
-            count += 1
-    return count
-
-
-def default_corpus_dir() -> Path:
-    """Directory of the corpus bundled with the installed package."""
-    return Path(importlib.resources.files("viskey") / "corpus")
+def corpus() -> tuple:
+    """All 360 glyphs as (source_id, BitImage) pairs, source ids of the form
+    <LABEL>_<FONTID> (e.g. "A_f0"), in ALPHABET x FONT_IDS order."""
+    return tuple((f"{label}_{font_id}", render_variant(label, font_id))
+                 for label in ALPHABET for font_id in FONT_IDS)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from viskey import classify
+from viskey import classify, font
 from viskey.bitimage import BitImage
-from viskey.font import default_corpus_dir
 
 
 def bits(text):
@@ -18,11 +17,6 @@ def random_image(rng, w, h, density=0.5):
 
 
 @pytest.fixture(scope="session")
-def corpus_dir():
-    return default_corpus_dir()
-
-
-@pytest.fixture(scope="session")
-def model(corpus_dir):
+def model():
     """The recognition model, trained on the corpus glyphs; it serves every scheme."""
-    return classify.train_model(corpus_dir)
+    return classify.train_model(font.corpus())

@@ -146,7 +146,7 @@ def test_criterion_05_filter_recovery():
            f"t=3 {results[9][0]:.4f}/{results[9][1]:.4f}; required min ≥ 0.995; {dt:.1f} s")
 
 
-def test_criterion_06_recognition_rate(model, corpus_dir):
+def test_criterion_06_recognition_rate(model):
     t0 = time.perf_counter()
     p = vcs.scheme_params(2)
     rng = np.random.default_rng(2024)
@@ -154,7 +154,7 @@ def test_criterion_06_recognition_rate(model, corpus_dir):
     for k in range(500):
         label = ALPHABET[rng.integers(36)]
         fid = FONT_IDS[rng.integers(10)]
-        secret = cas.render_key_image(label, corpus_dir, fid)
+        secret = cas.render_key_image(label, fid)
         merged = vcs.reconstruct(vcs.encode(secret, p, int(rng.integers(2**31))).shares)
         trial_model = model if k % 2 == 0 else model.without_font(fid)
         decoded = classify.decode_string(merged, trial_model, p)
@@ -226,11 +226,10 @@ def _free_port():
     return port
 
 
-def _start_server(port, state_dir, model_path, corpus_dir):
+def _start_server(port, state_dir, model_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "viskey.cli", "serve", "--port", str(port),
-         "--state", str(state_dir), "--model", str(model_path),
-         "--corpus", str(corpus_dir)],
+         "--state", str(state_dir), "--model", str(model_path)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     for _ in range(100):
@@ -243,12 +242,12 @@ def _start_server(port, state_dir, model_path, corpus_dir):
     raise RuntimeError("server did not start")
 
 
-def _pair_trials(n, model, corpus_dir, trials, seed0):
+def _pair_trials(n, model, trials, seed0):
     granted = total = 0
     singles_ok = singles_n = 0
     records = []
     for trial in range(trials):
-        rec = cas.create_group(f"g{n}_{trial}", n, 6, seed0 + trial, corpus_dir)
+        rec = cas.create_group(f"g{n}_{trial}", n, 6, seed0 + trial)
         records.append(rec)
         for i, j in itertools.combinations(range(1, n + 1), 2):
             rec.submissions = {i: rec.shares[i - 1], j: rec.shares[j - 1]}
@@ -298,10 +297,10 @@ def _tcp_trials(n, port, trials, seed0):
     return granted, total, singles_ok, singles_n
 
 
-def test_criterion_09_cas_end_to_end(model, corpus_dir, tmp_path):
+def test_criterion_09_cas_end_to_end(model, tmp_path):
     results = {}
     for n in (2, 9):
-        results[n] = _pair_trials(n, model, corpus_dir, trials=25, seed0=9000 + n)
+        results[n] = _pair_trials(n, model, trials=25, seed0=9000 + n)
 
     # service variant against live serve instances, plus kill/restart
     tcp = {}
@@ -311,14 +310,14 @@ def test_criterion_09_cas_end_to_end(model, corpus_dir, tmp_path):
     for n in (2, 9):
         state = tmp_path / f"state{n}"
         port = _free_port()
-        proc = _start_server(port, state, model_path, corpus_dir)
+        proc = _start_server(port, state, model_path)
         try:
             tcp[n] = _tcp_trials(n, port, trials=25, seed0=9500 + n)
         finally:
             proc.kill()
             proc.wait()
         # restart: persisted state must reproduce the last decision
-        proc = _start_server(port, state, model_path, corpus_dir)
+        proc = _start_server(port, state, model_path)
         try:
             c = cas.CasClient("127.0.0.1", port)
             reply = c.auth("g0")
@@ -342,18 +341,18 @@ def test_criterion_09_cas_end_to_end(model, corpus_dir, tmp_path):
     report(9, ok, "; ".join(parts) + f"; restart persistence {'ok' if restart_ok else 'BROKEN'}")
 
 
-def _pipeline_run(tmp, corpus_dir, run_cli_fn):
+def _pipeline_run(tmp, run_cli_fn):
     out = Path(tmp)
     out.mkdir(exist_ok=True)
     key = out / "key.pbm"
-    run_cli_fn(["render", "K9", "--corpus", str(corpus_dir), "--out", str(key)])
+    run_cli_fn(["render", "K9", "--out", str(key)])
     run_cli_fn(["encode", str(key), "--scheme", "2", "--seed", "21",
                 "--out-prefix", str(out / "sh")])
     run_cli_fn(["reconstruct", str(out / "sh_1.pbm"), str(out / "sh_2.pbm"),
                 "--out", str(out / "merged.pbm")])
     run_cli_fn(["denoise", str(out / "merged.pbm"), "--sidecar", str(out / "sh_1.txt"),
                 "--out", str(out / "clean.pbm")])
-    run_cli_fn(["train", "--corpus", str(corpus_dir), "--scheme", "2", "--seed", "31",
+    run_cli_fn(["train", "--scheme", "2", "--seed", "31",
                 "--out", str(out / "model.txt")])
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
@@ -361,9 +360,9 @@ def _pipeline_run(tmp, corpus_dir, run_cli_fn):
     return digest.hexdigest()
 
 
-def test_criterion_10_determinism(tmp_path, corpus_dir, capsys):
-    h1 = _pipeline_run(tmp_path / "run1", corpus_dir, run_cli)
-    h2 = _pipeline_run(tmp_path / "run2", corpus_dir, run_cli)
+def test_criterion_10_determinism(tmp_path, capsys):
+    h1 = _pipeline_run(tmp_path / "run1", run_cli)
+    h2 = _pipeline_run(tmp_path / "run2", run_cli)
     capsys.readouterr()
     run_cli(["demo", "--n", "2", "--seed", "6"])
     demo1 = capsys.readouterr().out

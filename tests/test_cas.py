@@ -29,30 +29,31 @@ class TestGenerateKey:
 
 
 class TestRenderKeyImage:
-    def test_layout_arithmetic(self, corpus_dir):
-        img = cas.render_key_image("AB", corpus_dir, "f0", spacing=4)
+    def test_layout_arithmetic(self):
+        img = cas.render_key_image("AB", "f0", spacing=4)
         assert (img.width, img.height) == (72, 36)
 
-    def test_segments_per_glyph(self, corpus_dir):
-        img = cas.render_key_image("A7K", corpus_dir, "f0")
+    def test_segments_per_glyph(self):
+        img = cas.render_key_image("A7K", "f0")
         assert len(segment(img)) == 3
 
-    def test_missing_glyph(self, corpus_dir):
-        with pytest.raises(FileNotFoundError):
-            cas.render_key_image("A", corpus_dir, "nosuchfont")
+    def test_missing_glyph(self):
+        for key, font_id in (("A", "nosuchfont"), ("a", "f0"), ("4v", "f0")):
+            with pytest.raises(ValueError):
+                cas.render_key_image(key, font_id)
 
-    def test_empty_key(self, corpus_dir):
+    def test_empty_key(self):
         with pytest.raises(ValueError):
-            cas.render_key_image("", corpus_dir)
+            cas.render_key_image("")
 
-    def test_spacing_too_small(self, corpus_dir):
+    def test_spacing_too_small(self):
         with pytest.raises(ValueError):
-            cas.render_key_image("AB", corpus_dir, spacing=1)
+            cas.render_key_image("AB", spacing=1)
 
 
 class TestCreateGroup:
-    def test_n2(self, corpus_dir):
-        rec = cas.create_group("g", 2, 4, 1, corpus_dir)
+    def test_n2(self):
+        rec = cas.create_group("g", 2, 4, 1)
         assert len(rec.shares) == 2
         assert len(rec.key) == 4
         # every 1x2 share block has exactly one black subpixel
@@ -60,55 +61,55 @@ class TestCreateGroup:
             pairs = sh.a.reshape(sh.height, -1, 2).sum(axis=2)
             assert np.all(pairs == 1)
 
-    def test_n9_expansion(self, corpus_dir):
-        rec = cas.create_group("g", 9, 3, 2, corpus_dir)
+    def test_n9_expansion(self):
+        rec = cas.create_group("g", 9, 3, 2)
         assert len(rec.shares) == 9
         assert rec.shares[0].height == rec.secret_h * 2
         assert rec.shares[0].width == rec.secret_w * 3
 
-    def test_distinct_keys(self, corpus_dir):
-        a = cas.create_group("g", 2, 6, 10, corpus_dir)
-        b = cas.create_group("g", 2, 6, 11, corpus_dir)
+    def test_distinct_keys(self):
+        a = cas.create_group("g", 2, 6, 10)
+        b = cas.create_group("g", 2, 6, 11)
         assert a.key != b.key
 
-    def test_inadmissible_n(self, corpus_dir):
+    def test_inadmissible_n(self):
         with pytest.raises(ValueError):
-            cas.create_group("g", 5, 6, 1, corpus_dir)
+            cas.create_group("g", 5, 6, 1)
 
 
 class TestAuthenticate:
-    def test_granted(self, corpus_dir, model):
-        rec = cas.create_group("g", 2, 4, 30, corpus_dir)
+    def test_granted(self, model):
+        rec = cas.create_group("g", 2, 4, 30)
         rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
         assert rec.status == cas.GRANTED
 
-    def test_three_shares_granted_without_window_pass(self, corpus_dir, model, monkeypatch):
+    def test_three_shares_granted_without_window_pass(self, model, monkeypatch):
         def no_window(*args):
             raise AssertionError("window pass ran")
 
         monkeypatch.setattr(denoise, "_window_counts", no_window)
-        rec = cas.create_group("g", 9, 5, 35, corpus_dir)
+        rec = cas.create_group("g", 9, 5, 35)
         rec.submissions = {i: rec.shares[i - 1] for i in (1, 2, 3)}
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
 
-    def test_insufficient(self, corpus_dir, model):
-        rec = cas.create_group("g", 2, 4, 31, corpus_dir)
+    def test_insufficient(self, model):
+        rec = cas.create_group("g", 2, 4, 31)
         rec.submissions = {1: rec.shares[0]}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.INSUFFICIENT_SHARES)
 
-    def test_dimension_mismatch(self, corpus_dir, model):
-        rec = cas.create_group("g", 2, 4, 32, corpus_dir)
+    def test_dimension_mismatch(self, model):
+        rec = cas.create_group("g", 2, 4, 32)
         rec.submissions = {1: rec.shares[0], 2: BitImage.blank(8, 8)}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.DIMENSION_MISMATCH)
 
-    def test_cross_group_mismatch(self, corpus_dir, model):
-        a = cas.create_group("a", 2, 4, 33, corpus_dir)
-        b = cas.create_group("b", 2, 4, 34, corpus_dir)
+    def test_cross_group_mismatch(self, model):
+        a = cas.create_group("a", 2, 4, 33)
+        b = cas.create_group("b", 2, 4, 34)
         a.submissions = {1: a.shares[0], 2: b.shares[1]}
         d = cas.authenticate(a, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
@@ -116,12 +117,14 @@ class TestAuthenticate:
 
 
 class TestRecordPersistence:
-    def test_roundtrip(self, corpus_dir, tmp_path):
-        rec = cas.create_group("grp", 9, 4, 40, corpus_dir)
+    def test_roundtrip(self, tmp_path):
+        rec = cas.create_group("grp", 9, 4, 40)
         rec.issued = [1, 3]
         rec.submissions = {1: rec.shares[0], 3: rec.shares[2]}
         rec.status = cas.PENDING
         cas.save_record(rec, tmp_path)
+        for member in rec.submissions:
+            cas.save_submission(rec, member, tmp_path)
         loaded = cas.load_record("grp", tmp_path)
         assert loaded.key == rec.key
         assert loaded.params == rec.params
@@ -133,8 +136,8 @@ class TestRecordPersistence:
 
 
 @pytest.fixture()
-def server(tmp_path, model, corpus_dir):
-    state = cas.CasState(tmp_path / "state", model, corpus_dir)
+def server(tmp_path, model):
+    state = cas.CasState(tmp_path / "state", model)
     srv = cas.CasServer(("127.0.0.1", 0), state)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -180,9 +183,32 @@ class TestProtocol:
         finally:
             c.close()
 
-    def test_state_survives_restart(self, tmp_path, model, corpus_dir):
+    def test_auth_writes_no_pbm(self, server, monkeypatch):
+        """SUBMIT writes its own submission file; AUTH changes only the status."""
+        written = []
+        write_pbm_unpatched = cas.write_pbm
+
+        def counting_write_pbm(img, variant):
+            written.append(variant)
+            return write_pbm_unpatched(img, variant)
+
+        c = cas.CasClient("127.0.0.1", server.server_address[1])
+        try:
+            c.create("g", 2, 4, 66)
+            _, p1 = c.fetch("g", 1)
+            _, p2 = c.fetch("g", 2)
+            monkeypatch.setattr(cas, "write_pbm", counting_write_pbm)
+            assert c.submit("g", 1, pbm_payload(p1)) == "ACCEPTED 1"
+            assert c.submit("g", 2, pbm_payload(p2)) == "ACCEPTED 2"
+            assert len(written) == 2
+            assert c.auth("g") == "GRANTED g"
+            assert len(written) == 2
+        finally:
+            c.close()
+
+    def test_state_survives_restart(self, tmp_path, model):
         state_dir = tmp_path / "state"
-        state = cas.CasState(state_dir, model, corpus_dir)
+        state = cas.CasState(state_dir, model)
         srv = cas.CasServer(("127.0.0.1", 0), state)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -198,7 +224,7 @@ class TestProtocol:
         srv.server_close()
 
         # fresh process state from disk: submissions and shares intact
-        state2 = cas.CasState(state_dir, model, corpus_dir)
+        state2 = cas.CasState(state_dir, model)
         srv2 = cas.CasServer(("127.0.0.1", 0), state2)
         thread2 = threading.Thread(target=srv2.serve_forever, daemon=True)
         thread2.start()

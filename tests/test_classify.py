@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import bits
-from viskey import cas, classify, vcs
-from viskey.bitimage import BitImage, downsample_majority, read_pbm, write_pbm
+from viskey import cas, classify, font, vcs
+from viskey.bitimage import BitImage, downsample_majority
 from viskey.classify import LabeledSample, Model
 from viskey.denoise import adaptive_filter, default_params
 from viskey.font import ALPHABET
@@ -115,45 +115,42 @@ class TestTrainModel:
         labels = {s.label for s in model.samples}
         assert labels == set(ALPHABET)
 
-    def test_deterministic(self, corpus_dir):
-        a = classify.train_model(corpus_dir)
-        b = classify.train_model(corpus_dir)
+    def test_deterministic(self):
+        a = classify.train_model(font.corpus())
+        b = classify.train_model(font.corpus())
         assert all(
             np.array_equal(x.features, y.features) for x, y in zip(a.samples, b.samples)
         )
 
-    def test_empty_dir(self, tmp_path):
+    def test_empty_input(self):
         with pytest.raises(ValueError):
-            classify.train_model(tmp_path)
+            classify.train_model(())
 
-    def test_bad_filename(self, tmp_path, corpus_dir):
-        data = (corpus_dir / "A_f0.pbm").read_bytes()
-        (tmp_path / "badname.pbm").write_bytes(data)
-        with pytest.raises(ValueError):
-            classify.train_model(tmp_path)
+    def test_bad_filename(self):
+        glyph = font.render_variant("A", "f0")
+        for source_id in ("badname", "a_f0", "A_"):
+            with pytest.raises(ValueError):
+                classify.train_model([(source_id, glyph)])
 
-    def test_multi_glyph_file_skipped(self, tmp_path, corpus_dir):
-        (tmp_path / "A_f0.pbm").write_bytes((corpus_dir / "A_f0.pbm").read_bytes())
-        two = cas.render_key_image("AB", corpus_dir, "f0")
-        (tmp_path / "B_zz.pbm").write_bytes(write_pbm(two, "P1"))
-        m = classify.train_model(tmp_path)
+    def test_multi_glyph_file_skipped(self):
+        two = cas.render_key_image("AB", "f0")
+        m = classify.train_model([("A_f0", font.render_variant("A", "f0")), ("B_zz", two)])
         assert len(m.samples) == 1
-        assert m.skipped == ("B_zz.pbm",)
+        assert m.skipped == ("B_zz",)
 
-    def test_share_pipeline_returns_corpus_glyphs(self, model, corpus_dir):
+    def test_share_pipeline_returns_corpus_glyphs(self, model):
         """Why training skips the share pipeline: encode -> stack of shares 1
         and 2 -> filter -> downsample gives every corpus glyph's features back."""
         trained = {s.source_id: s.features for s in model.samples}
         schemes = [vcs.scheme_params(n) for n in (2, 9, 12)]
-        for k, path in enumerate(sorted(corpus_dir.glob("*.pbm"))):
-            secret = read_pbm(path.read_bytes())
+        for k, (source_id, secret) in enumerate(font.corpus()):
             for p in schemes:
                 stacked = vcs.reconstruct(vcs.encode(secret, p, 4000 + k).shares[:2])
                 clean = downsample_majority(adaptive_filter(stacked, default_params(p)),
                                             p.block_h, p.block_w)
                 (box,) = segment(clean)
                 feats = extract_features(normalize_glyph(clean, box))
-                assert np.array_equal(feats, trained[path.stem]), (path.name, p.n)
+                assert np.array_equal(feats, trained[source_id]), (source_id, p.n)
 
     def test_self_recognition(self, model):
         for s in model.samples[::37]:
@@ -214,16 +211,16 @@ class TestDecodeString:
     def test_all_white(self, model):
         assert classify.decode_string(BitImage.blank(20, 20), model, vcs.scheme_params(2)) == ""
 
-    def test_end_to_end_a7k(self, model, corpus_dir):
+    def test_end_to_end_a7k(self, model):
         p = vcs.scheme_params(2)
-        secret = cas.render_key_image("A7K", corpus_dir, "f0")
+        secret = cas.render_key_image("A7K", "f0")
         merged = vcs.reconstruct(vcs.encode(secret, p, 12345).shares)
         out = classify.decode_string(merged, model, p)
         assert out == "A7K"
 
-    def test_single_zero(self, model, corpus_dir):
+    def test_single_zero(self, model):
         p = vcs.scheme_params(2)
-        secret = cas.render_key_image("0", corpus_dir, "f0")
+        secret = cas.render_key_image("0", "f0")
         merged = vcs.reconstruct(vcs.encode(secret, p, 999).shares)
         out = classify.decode_string(merged, model, p)
         assert out == "0"

@@ -4,15 +4,22 @@ from pathlib import Path
 import pytest
 
 from viskey import classify, vcs
-from viskey.bitimage import downsample_majority, read_pbm
+from viskey.bitimage import downsample_majority, read_pbm, write_pbm
 from viskey.cli import run_cli
-from viskey.font import default_corpus_dir
+from viskey.font import render_variant
 
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def glyph_file(tmp_path, label):
+    """One 32x32 built-in glyph of font f0 as a P1 file."""
+    path = tmp_path / f"{label}_f0.pbm"
+    path.write_bytes(write_pbm(render_variant(label, "f0"), "P1"))
+    return path
 
 
 def _stack(capsys, tmp_path, n):
@@ -39,9 +46,8 @@ class TestKeygen:
 
 class TestPipelineStages:
     def test_render_encode_reconstruct_decode(self, capsys, tmp_path, model):
-        corpus = str(default_corpus_dir())
         key_pbm = tmp_path / "key.pbm"
-        code, _, _ = run(capsys, "render", "4V", "--corpus", corpus, "--out", str(key_pbm))
+        code, _, _ = run(capsys, "render", "4V", "--out", str(key_pbm))
         assert code == 0
         img = read_pbm(key_pbm.read_bytes())
         assert (img.width, img.height) == (72, 36)
@@ -83,10 +89,10 @@ class TestPipelineStages:
         recovered = downsample_majority(read_pbm(clean.read_bytes()), p.block_h, p.block_w)
         assert recovered == read_pbm(key_pbm.read_bytes())
 
-    def test_train_and_classify(self, capsys, tmp_path, corpus_dir, model):
+    def test_train_and_classify(self, capsys, tmp_path, model):
         model_path = tmp_path / "model.txt"
         classify.save_model(model, model_path)
-        glyph = corpus_dir / "Q_f0.pbm"
+        glyph = glyph_file(tmp_path, "Q")
         code, out, _ = run(capsys, "classify", str(glyph), "--model", str(model_path))
         assert code == 0
         assert out.split()[0] == "Q"
@@ -101,8 +107,8 @@ class TestPipelineStages:
             written.append(path.read_bytes())
         assert written[0] == written[1] == written[2]
 
-    def test_features_output(self, capsys, corpus_dir):
-        code, out, _ = run(capsys, "features", str(corpus_dir / "A_f0.pbm"))
+    def test_features_output(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "features", str(glyph_file(tmp_path, "A")))
         assert code == 0
         assert len(out.strip().split(",")) == 48
 
@@ -120,10 +126,10 @@ class TestExitCodes:
         code, _, _ = run(capsys, "encode", "--no-such-flag")
         assert code == 2
 
-    def test_short_model_line(self, capsys, tmp_path, corpus_dir):
+    def test_short_model_line(self, capsys, tmp_path):
         model_path = tmp_path / "model.txt"
         model_path.write_text("viskey-model 48 1\nA\n")
-        code, _, err = run(capsys, "classify", str(corpus_dir / "A_f0.pbm"),
+        code, _, err = run(capsys, "classify", str(glyph_file(tmp_path, "A")),
                            "--model", str(model_path))
         assert code == 1
         assert err.startswith("error: ")
@@ -152,6 +158,25 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "segment", "/nonexistent/file.pbm")
         assert code == 1
+
+    def test_render_unknown_character(self, capsys, tmp_path):
+        key = tmp_path / "k.pbm"
+        code, _, err = run(capsys, "render", "4v", "--out", str(key))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not key.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "4V", "--out", "k.pbm"],
+        ["train", "--out", "m.txt"],
+        ["serve", "--port", "1", "--state", "st", "--model", "m.txt"],
+        ["demo", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_corpus_flag_removed(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, *argv, "--corpus", "glyphs")
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDemo:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 
 from viskey.bitimage import write_pbm
-from viskey.font import ALPHABET, FONT_IDS, base_glyph, build_corpus, render_variant
+from viskey.font import ALPHABET, FONT_IDS, base_glyph, corpus, render_variant
 from viskey.ocr import GLYPH_SIZE, segment
 
 
@@ -37,21 +37,13 @@ class TestRenderVariant:
 
 
 class TestCorpus:
-    def test_build_count(self, tmp_path):
-        assert build_corpus(tmp_path) == 360
-        assert len(list(tmp_path.glob("*.pbm"))) == 360
-
-    def test_glyph_digest_pinned(self, corpus_dir):
+    def test_glyph_digest_pinned(self):
         """SHA-256 over <LABEL>_<FONTID>.pbm names and P1 bytes of all 360
-        glyphs, taken from the bundled corpus files."""
+        glyphs in corpus order: the digest of the PBM files the package
+        bundled before its glyphs were generated in memory."""
         pinned = "05e54a1ec081fed61fd4905c4b919ee7c2001d1e16a7e924b89420ed5b0b27f8"
-        generated = hashlib.sha256()
-        for label in ALPHABET:
-            for fid in FONT_IDS:
-                name = f"{label}_{fid}.pbm"
-                generated.update(name.encode() + write_pbm(render_variant(label, fid), "P1"))
-        bundled = hashlib.sha256()
-        for path in sorted(corpus_dir.glob("*.pbm")):
-            bundled.update(path.name.encode() + path.read_bytes())
-        assert generated.hexdigest() == pinned
-        assert bundled.hexdigest() == pinned
+        digest = hashlib.sha256()
+        for source_id, img in corpus():
+            digest.update(f"{source_id}.pbm".encode() + write_pbm(img, "P1"))
+        assert digest.hexdigest() == pinned
+
