@@ -6,7 +6,7 @@ OR-stacked shares to grant or deny group authentication.
 """
 
 from .bitimage import BitImage, Rect
-from .vcs import SchemeParams, ShareSet, scheme_params
+from .vcs import SchemeParams, scheme_params
 
-__all__ = ["BitImage", "Rect", "SchemeParams", "ShareSet", "scheme_params"]
+__all__ = ["BitImage", "Rect", "SchemeParams", "scheme_params"]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import re
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,7 @@ log = logging.getLogger(__name__)
 DEFAULT_FONT = "f0"
 DEFAULT_SPACING = 4
 MARGIN = 2
+MAX_KEY_LENGTH = 16  # with vcs.MAX_SHARES, bounds the work of one CREATE
 
 PENDING = "Pending"
 GRANTED = "Granted"
@@ -54,8 +56,6 @@ class GroupRecord:
     key: str
     params: vcs.SchemeParams
     shares: tuple  # n share BitImages, index 0 is member 1
-    secret_w: int
-    secret_h: int
     issued: list = field(default_factory=list)  # member indices fetched so far
     submissions: dict = field(default_factory=dict)  # member index -> BitImage
     status: str = PENDING
@@ -88,15 +88,27 @@ def render_key_image(key: str, font_id: str = DEFAULT_FONT,
     return BitImage(canvas)
 
 
-def create_group(group_id: str, n: int, key_length: int, seed: int,
-                 font_id: str = DEFAULT_FONT, spacing: int = DEFAULT_SPACING) -> GroupRecord:
+def create_group(group_id: str, n: int, key_length: int, seed: int) -> GroupRecord:
     """Generate a key, render it, split it into n shares."""
     params = vcs.scheme_params(n)
+    if key_length > MAX_KEY_LENGTH:
+        raise ValueError(f"key length must be at most {MAX_KEY_LENGTH}, got {key_length}")
     rng_seeds = np.random.SeedSequence(seed).spawn(2)
     key = generate_key(key_length, rng_seeds[0].generate_state(1)[0])
-    secret = render_key_image(key, font_id, spacing)
+    secret = render_key_image(key)
     shares = vcs.encode(secret, params, int(rng_seeds[1].generate_state(1)[0]))
-    return GroupRecord(group_id, key, params, shares.shares, secret.width, secret.height)
+    return GroupRecord(group_id, key, params, shares)
+
+
+def _max_payload() -> int:
+    """P4 size of the largest share the limits admit."""
+    p = vcs.scheme_params(vcs.MAX_SHARES)
+    secret = render_key_image("0" * MAX_KEY_LENGTH)
+    w, h = secret.width * p.block_w, secret.height * p.block_h
+    return len(f"P4\n{w} {h}\n") + (w + 7) // 8 * h
+
+
+MAX_PAYLOAD = _max_payload()
 
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
@@ -105,12 +117,9 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     if len(subs) < 2:
         record.status = DENIED
         return AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    expected = (record.secret_h * record.params.block_h,
-                record.secret_w * record.params.block_w)
-    for img in subs.values():
-        if (img.height, img.width) != expected:
-            record.status = DENIED
-            return AuthDecision(DENIED, DIMENSION_MISMATCH)
+    if any(img.a.shape != record.shares[0].a.shape for img in subs.values()):
+        record.status = DENIED
+        return AuthDecision(DENIED, DIMENSION_MISMATCH)
     merged = vcs.reconstruct(list(subs.values()))
     decoded = decode_string(merged, model, record.params)
     if decoded == record.key:
@@ -128,11 +137,9 @@ def save_record(record: GroupRecord, state_dir) -> None:
     files are written only by `save_submission`."""
     gdir = Path(state_dir) / record.group_id
     gdir.mkdir(parents=True, exist_ok=True)
-    p = record.params
     lines = [
         f"key {record.key}",
-        f"scheme {p.variant} {p.t} {p.n} {p.m} {p.block_h} {p.block_w}",
-        f"secret {record.secret_w} {record.secret_h}",
+        f"scheme {vcs.format_scheme(record.params)}",
         f"issued {' '.join(str(i) for i in record.issued)}".rstrip(),
         f"submitted {' '.join(str(i) for i in sorted(record.submissions))}".rstrip(),
         f"status {record.status}",
@@ -153,18 +160,21 @@ def save_submission(record: GroupRecord, member: int, state_dir) -> None:
 
 
 def load_record(group_id: str, state_dir) -> GroupRecord:
+    """Read a group saved by `save_record`; ValueError if its scheme fields or
+    share sizes are inconsistent."""
     gdir = Path(state_dir) / group_id
     fields = {}
     for line in (gdir / "record.txt").read_text().splitlines():
         name, _, rest = line.partition(" ")
         fields[name] = rest
-    sp = fields["scheme"].split()
-    params = vcs.SchemeParams(sp[0], *(int(v) for v in sp[1:]))
-    sw, sh = (int(v) for v in fields["secret"].split())
+    params = vcs.parse_scheme(fields["scheme"].split())
     shares = tuple(
         read_pbm((gdir / f"share_{i}.pbm").read_bytes()) for i in range(1, params.n + 1)
     )
-    record = GroupRecord(group_id, fields["key"], params, shares, sw, sh,
+    h, w = shares[0].a.shape
+    if any(s.a.shape != (h, w) for s in shares) or h % params.block_h or w % params.block_w:
+        raise ValueError(f"shares differ in size or do not tile into {params.m}-subpixel blocks")
+    record = GroupRecord(group_id, fields["key"], params, shares,
                          status=fields.get("status", PENDING))
     record.issued = [int(v) for v in fields.get("issued", "").split()]
     for i in (int(v) for v in fields.get("submitted", "").split()):
@@ -187,7 +197,16 @@ class CasState:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         for rec_file in self.state_dir.glob("*/record.txt"):
             gid = rec_file.parent.name
-            self._records[gid] = load_record(gid, self.state_dir)
+            if not GROUP_ID.fullmatch(gid):
+                continue
+            try:
+                self._records[gid] = load_record(gid, self.state_dir)
+            except (KeyError, ValueError, OSError) as e:
+                # move it aside, under a name no group id matches
+                dest = self.state_dir / f"{gid}.corrupt.{time.time_ns()}"
+                rec_file.parent.rename(dest)
+                log.warning("group %s: unreadable record (%s), moved to %s",
+                            gid, type(e).__name__, dest.name)
 
     def lock_for(self, group_id):
         with self._table_lock:
@@ -239,12 +258,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             self.wfile.write(reply.encode("utf-8") + b"\n" + payload)
             self.wfile.flush()
-
-    def _read_exact(self, nbytes):
-        data = self.rfile.read(nbytes)
-        if len(data) != nbytes:
-            raise ProtocolError("payload", f"expected {nbytes} payload bytes")
-        return data
+            if reply.startswith("ERR payload"):  # the stream is out of step
+                return
 
     def _dispatch(self, state, line):
         parts = line.split()
@@ -257,15 +272,20 @@ class _Handler(socketserver.StreamRequestHandler):
         if len(args) != len(usage.split()) - 1:
             raise ProtocolError("usage", usage)
         gid = args[0]
+        # int() alone would also take "+1", "1_2" and non-ASCII digits
+        if not all(v.isascii() and v.isdigit() for v in args[1:]):
+            raise ProtocolError("usage", usage)
         try:
             nums = [int(v) for v in args[1:]]
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise ProtocolError("usage", usage) from None
         if cmd == "SUBMIT":
-            if nums[1] < 0:
-                raise ProtocolError("usage", usage)
+            if nums[1] > MAX_PAYLOAD:
+                raise ProtocolError("payload", f"payload exceeds {MAX_PAYLOAD} bytes")
             # read the payload before any other check so the stream stays in step
-            data = self._read_exact(nums[1])
+            data = self.rfile.read(nums[1])
+            if len(data) != nums[1]:
+                raise ProtocolError("payload", f"expected {nums[1]} payload bytes")
         if not GROUP_ID.fullmatch(gid):
             raise ProtocolError("usage", f"group id must match {GROUP_ID.pattern}")
 
@@ -294,9 +314,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     record.issued.append(member)
                     save_record(record, state.state_dir)
                 share = record.shares[member - 1]
-                payload = write_pbm(share, "P4") + vcs.share_sidecar(
-                    record.params, record.secret_w, record.secret_h, member, gid
-                ).encode()
+                payload = (write_pbm(share, "P4")
+                           + vcs.share_sidecar(record.params, share, member, gid).encode())
             return f"SHARE {gid} {member} {len(payload)}", payload
 
         if cmd == "SUBMIT":

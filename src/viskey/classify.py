@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitimage import BitImage
-from .denoise import decide_blocks, default_params
+from .denoise import decide_blocks
 from .font import ALPHABET
 from .ocr import FEATURE_LEN, extract_features, normalize_glyph, segment
 from .vcs import SchemeParams
@@ -107,7 +107,7 @@ def classify_1nn(x, model: Model):
 
 def decode_string(img: BitImage, model: Model, params: SchemeParams) -> str:
     """Read a raw OR-stacked key image of the given scheme back into its text."""
-    clean = decide_blocks(img, default_params(params))
+    clean = decide_blocks(img, params)
     out = []
     for box in segment(clean):
         label, _ = classify_1nn(extract_features(normalize_glyph(clean, box)), model)

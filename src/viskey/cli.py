@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import cas, classify, font, vcs
 from .bitimage import DimensionError, read_pbm, write_pbm
-from .denoise import adaptive_filter, default_params
+from .denoise import adaptive_filter
 from .ocr import extract_features, normalize_glyph, segment
 
 
@@ -133,11 +133,10 @@ def _run(args) -> int:
     if cmd == "encode":
         params = vcs.scheme_params(args.scheme)
         secret = _read(args.image)
-        shares = vcs.encode(secret, params, args.seed)
-        for i, share in enumerate(shares.shares, start=1):
+        for i, share in enumerate(vcs.encode(secret, params, args.seed), start=1):
             _write(f"{args.out_prefix}_{i}.pbm", share, "P4")
             Path(f"{args.out_prefix}_{i}.txt").write_text(
-                vcs.share_sidecar(params, secret.width, secret.height, i, args.group_id)
+                vcs.share_sidecar(params, share, i, args.group_id)
             )
         print(f"wrote {params.n} shares to {args.out_prefix}_*.pbm")
         return 0
@@ -153,7 +152,7 @@ def _run(args) -> int:
         if (img.width, img.height) != (sw * params.block_w, sh * params.block_h):
             raise DimensionError(f"stack is {img.width}x{img.height}, the sidecar's shares are "
                                  f"{sw * params.block_w}x{sh * params.block_h}")
-        _write(args.out, adaptive_filter(img, default_params(params)), "P1")
+        _write(args.out, adaptive_filter(img, params), "P1")
         return 0
 
     if cmd == "segment":

@@ -16,12 +16,10 @@ irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitimage import BitImage, DimensionError, downsample_majority
-from .vcs import TWO_OF_TWO, SchemeParams
+from .vcs import SchemeParams
 
 # odd window sizes, grown by an even step so every window stays centred
 INITIAL_WINDOW = 3
@@ -29,48 +27,13 @@ MAX_WINDOW = 11
 GROWTH_STEP = 2
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Block geometry and the black-subpixel counts a clean stacked block of
-    each colour can have."""
-
-    block_h: int
-    block_w: int
-    white: tuple
-    black: tuple
-
-    def __post_init__(self):
-        if self.block_h < 1 or self.block_w < 1:
-            raise ValueError(f"block must be at least 1x1, got {self.block_h}x{self.block_w}")
-        legal = range(self.block_h * self.block_w + 1)
-        if not all(c in legal for c in self.white + self.black):
-            raise ValueError(f"weights must lie in 0..{self.block_h * self.block_w}")
-        if not (self.white and self.black and max(self.white) < min(self.black)):
-            raise ValueError("every white weight must lie below every black weight")
-
-    @property
-    def cutoffs(self) -> tuple:
-        """The windowed filter's white and black cutoffs. d_w is the stacked
-        black density of a white block and d_b the least density of a black
-        one; the cutoffs sit at one-third margins inside the (d_w, d_b) gap."""
-        m = self.block_h * self.block_w
-        d_w, d_b = max(self.white) / m, min(self.black) / m
-        gap = d_b - d_w
-        return d_w + gap / 3, d_b - gap / 3
-
-
-def default_params(params: SchemeParams) -> FilterParams:
-    """The scheme's block geometry and stacked weights.
-
-    All rows of the white basis matrix are equal, so a stack of any two or
-    more shares gives a white block t-1 black subpixels; a black block has
-    2t-3 (two shares) up to m (2-of-2: 1 and 2).
-    """
-    if params.variant == TWO_OF_TWO:
-        white, black = (1,), (2,)
-    else:
-        white, black = (params.t - 1,), tuple(range(2 * params.t - 3, params.m + 1))
-    return FilterParams(params.block_h, params.block_w, white, black)
+def cutoffs(params: SchemeParams) -> tuple:
+    """The windowed filter's white and black cutoffs. d_w is the stacked
+    black density of a white block and d_b the least density of a black one;
+    the cutoffs sit at one-third margins inside the (d_w, d_b) gap."""
+    d_w, d_b = max(params.white) / params.m, min(params.black) / params.m
+    gap = d_b - d_w
+    return d_w + gap / 3, d_b - gap / 3
 
 
 def _window_counts(cum, i0, i1, j0, j1):
@@ -79,29 +42,29 @@ def _window_counts(cum, i0, i1, j0, j1):
     return cum[i1, j1] - cum[i0, j1] - cum[i1, j0] + cum[i0, j0]
 
 
-def decide_blocks(img: BitImage, fp: FilterParams) -> BitImage:
+def decide_blocks(img: BitImage, params: SchemeParams) -> BitImage:
     """One pixel per block (see the module docstring). The windowed pass runs
     only if some block count is not a legal weight."""
-    bh, bw = fp.block_h, fp.block_w
+    bh, bw = params.block_h, params.block_w
     h, w = img.a.shape
     if h % bh or w % bw:
         raise DimensionError(f"{w}x{h} not divisible into {bh}x{bw} blocks")
     counts = img.a.reshape(h // bh, bh, w // bw, bw).sum(axis=(1, 3))
     colour = np.full(bh * bw + 1, -1, dtype=np.int8)  # count -> 0 white, 1 black, -1 noise
-    colour[list(fp.white)] = 0
-    colour[list(fp.black)] = 1
+    colour[list(params.white)] = 0
+    colour[list(params.black)] = 1
     out = colour[counts]
     noise = out < 0
     if noise.any():
-        windowed = BitImage(_window_filter(img.a, *fp.cutoffs))
+        windowed = BitImage(_window_filter(img.a, *cutoffs(params)))
         out[noise] = downsample_majority(windowed, bh, bw).a[noise]
     return BitImage(out)
 
 
-def adaptive_filter(img: BitImage, fp: FilterParams) -> BitImage:
+def adaptive_filter(img: BitImage, params: SchemeParams) -> BitImage:
     """`decide_blocks` expanded back to solid blocks at the input's size."""
-    out = decide_blocks(img, fp).a
-    return BitImage(np.repeat(np.repeat(out, fp.block_h, axis=0), fp.block_w, axis=1))
+    out = decide_blocks(img, params).a
+    return BitImage(np.repeat(np.repeat(out, params.block_h, axis=0), params.block_w, axis=1))
 
 
 def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float) -> np.ndarray:

@@ -28,6 +28,17 @@ class SchemeParams:
     block_h: int
     block_w: int
 
+    @property
+    def white(self) -> tuple:
+        """Black-subpixel counts of a white block in a stack of two or more
+        shares: t-1 (2-of-2: 1), as all rows of the white basis are equal."""
+        return (1,) if self.variant == TWO_OF_TWO else (self.t - 1,)
+
+    @property
+    def black(self) -> tuple:
+        """Those of a black block: 2t-3 (two shares) up to m (2-of-2: 2)."""
+        return (2,) if self.variant == TWO_OF_TWO else tuple(range(2 * self.t - 3, self.m + 1))
+
 
 @dataclass(frozen=True)
 class LatinSquare:
@@ -48,14 +59,6 @@ class BasisMatrices:
     s1: np.ndarray  # n x m, black pixel
 
 
-@dataclass(frozen=True)
-class ShareSet:
-    params: SchemeParams
-    shares: tuple  # n BitImages at expanded resolution
-    secret_w: int
-    secret_h: int
-
-
 def _block_geometry(m):
     # largest divisor of m not exceeding floor(sqrt(m))
     best = 1
@@ -67,18 +70,24 @@ def _block_geometry(m):
     return best, m // best
 
 
+# The Latin-square search in `basis_matrices` grows steeply with t: on a
+# 2-vCPU host it took about 15 ms at t = 11 (n = 33) and 3 s at t = 13.
+MAX_SHARES = 33
+
+
 def scheme_params(n: int) -> SchemeParams:
-    """Parameters for the supported share counts: n = 2 or n = 3t, t >= 3."""
+    """Parameters for the supported share counts: n = 2 or n = 3t,
+    3 <= t <= MAX_SHARES / 3."""
     if n == 2:
         return SchemeParams(TWO_OF_TWO, 0, 2, 2, 1, 2)
-    if n >= 9 and n % 3 == 0:
+    if 9 <= n <= MAX_SHARES and n % 3 == 0:
         t = n // 3
         m = t * (t - 1)
         bh, bw = _block_geometry(m)
         return SchemeParams(TWO_OF_N, t, n, m, bh, bw)
     raise ValueError(
-        f"unsupported share count {n}: admissible counts are 2 or any multiple "
-        "of 3 that is at least 9 (9, 12, 15, ...)"
+        f"unsupported share count {n}: admissible counts are 2 or a multiple "
+        f"of 3 from 9 to {MAX_SHARES} (9, 12, 15, ...)"
     )
 
 
@@ -146,8 +155,8 @@ def scheme_basis(params: SchemeParams) -> BasisMatrices:
     return basis_matrices(params.t)
 
 
-def encode(secret: BitImage, params: SchemeParams, seed: int) -> ShareSet:
-    """Split a secret into n shares.
+def encode(secret: BitImage, params: SchemeParams, seed: int) -> tuple:
+    """Split a secret into n shares at expanded resolution, member 1 first.
 
     Each secret pixel draws one uniformly random column permutation of the
     appropriate basis matrix; the permuted row i fills share i's subpixel
@@ -169,8 +178,7 @@ def encode(secret: BitImage, params: SchemeParams, seed: int) -> ShareSet:
     raster_order = columns.reshape(h, w, bh, bw).transpose(0, 2, 1, 3)
     table = np.concatenate([basis.s0, basis.s1], axis=1)
     rasters = np.take(table, raster_order, axis=1).reshape(params.n, h * bh, w * bw)
-    shares = tuple(BitImage(r) for r in rasters)
-    return ShareSet(params, shares, w, h)
+    return tuple(BitImage(r) for r in rasters)
 
 
 def reconstruct(shares) -> BitImage:
@@ -181,23 +189,33 @@ def reconstruct(shares) -> BitImage:
     return or_merge(shares)
 
 
-def share_sidecar(params: SchemeParams, secret_w, secret_h, share_index, group_id) -> str:
+def format_scheme(params: SchemeParams) -> str:
+    """The six scheme fields as stored in share sidecars and group records."""
+    return (f"{params.variant} {params.t} {params.n} {params.m} "
+            f"{params.block_h} {params.block_w}")
+
+
+def parse_scheme(fields) -> SchemeParams:
+    """Read the six fields `format_scheme` writes; they must be exactly
+    `scheme_params(n)` for their own n."""
+    if len(fields) != 6:
+        raise ValueError(f"scheme must have 6 fields, got {len(fields)}")
+    params = SchemeParams(fields[0], *(int(v) for v in fields[1:]))
+    if params != scheme_params(params.n):
+        raise ValueError(f"scheme parameters {params} inconsistent with n={params.n}")
+    return params
+
+
+def share_sidecar(params: SchemeParams, share: BitImage, share_index, group_id) -> str:
     """One-line text header accompanying a serialized share."""
-    return (
-        f"{params.variant} {params.t} {params.n} {params.m} "
-        f"{params.block_h} {params.block_w} {secret_w} {secret_h} "
-        f"{share_index} {group_id}\n"
-    )
+    secret_w, secret_h = share.width // params.block_w, share.height // params.block_h
+    return f"{format_scheme(params)} {secret_w} {secret_h} {share_index} {group_id}\n"
 
 
 def parse_sidecar(line: str):
     parts = line.split()
     if len(parts) != 10:
         raise ValueError(f"sidecar must have 10 fields, got {len(parts)}")
-    variant = parts[0]
-    t, n, m, bh, bw, sw, sh, idx = (int(p) for p in parts[1:9])
-    params = SchemeParams(variant, t, n, m, bh, bw)
-    expected = scheme_params(n)
-    if params != expected:
-        raise ValueError(f"sidecar parameters {params} inconsistent with n={n}")
+    params = parse_scheme(parts[:6])
+    sw, sh, idx = (int(p) for p in parts[6:9])
     return params, sw, sh, idx, parts[9]

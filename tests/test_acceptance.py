@@ -17,7 +17,7 @@ from conftest import random_image
 from viskey import cas, classify, vcs
 from viskey.bitimage import BitImage, downsample_majority, read_pbm, write_pbm
 from viskey.cli import run_cli
-from viskey.denoise import default_params, adaptive_filter
+from viskey.denoise import adaptive_filter
 from viskey.font import ALPHABET, FONT_IDS
 from viskey.ocr import Glyph, extract_features, geometric_moment
 
@@ -67,7 +67,7 @@ def test_criterion_03_single_share_security():
         p = vcs.scheme_params(n)
         for k in range(20):
             secret = random_image(rng, 32, 32)
-            for sh in vcs.encode(secret, p, 3000 + k).shares:
+            for sh in vcs.encode(secret, p, 3000 + k):
                 sums = sh.a.reshape(32, p.block_h, 32, p.block_w).sum(axis=(1, 3))
                 ok &= bool(np.all(sums == per_block))
     # TwoOfTwo pattern frequencies per color over 20 x 1024 pixels
@@ -75,7 +75,7 @@ def test_criterion_03_single_share_security():
     counts = {0: [0, 0], 1: [0, 0]}
     for k in range(20):
         secret = random_image(rng, 32, 32)
-        share = vcs.encode(secret, p2, 4000 + k).shares[0]
+        share = vcs.encode(secret, p2, 4000 + k)[0]
         blocks = share.a.reshape(32, 32, 2)
         left_black = blocks[:, :, 0] == 1
         for color in (0, 1):
@@ -98,7 +98,7 @@ def test_criterion_04_lossless_threshold_oracle():
         midpoint = (white_w + black_w) / 2
         for k in range(50):
             secret = random_image(rng, 16, 16)
-            shares = vcs.encode(secret, p, 5000 + k).shares
+            shares = vcs.encode(secret, p, 5000 + k)
             pairs = [(0, 1)]
             if n == 9:
                 pairs.append(tuple(sorted(rng.choice(9, size=2, replace=False))))
@@ -131,12 +131,11 @@ def test_criterion_05_filter_recovery():
     results = {}
     for n in (2, 9):
         p = vcs.scheme_params(n)
-        fp = default_params(p)
         agreements = []
         for k in range(50):
             secret = stroke_secret(rng)
-            merged = vcs.reconstruct(vcs.encode(secret, p, 6000 + k).shares[:2])
-            recovered = downsample_majority(adaptive_filter(merged, fp), p.block_h, p.block_w)
+            merged = vcs.reconstruct(vcs.encode(secret, p, 6000 + k)[:2])
+            recovered = downsample_majority(adaptive_filter(merged, p), p.block_h, p.block_w)
             agreements.append(float((recovered.a == secret.a).mean()))
         results[n] = (min(agreements), sum(agreements) / len(agreements))
     dt = time.perf_counter() - t0
@@ -155,7 +154,7 @@ def test_criterion_06_recognition_rate(model):
         label = ALPHABET[rng.integers(36)]
         fid = FONT_IDS[rng.integers(10)]
         secret = cas.render_key_image(label, fid)
-        merged = vcs.reconstruct(vcs.encode(secret, p, int(rng.integers(2**31))).shares)
+        merged = vcs.reconstruct(vcs.encode(secret, p, int(rng.integers(2**31))))
         trial_model = model if k % 2 == 0 else model.without_font(fid)
         decoded = classify.decode_string(merged, trial_model, p)
         if k % 2 == 0:

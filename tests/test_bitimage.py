@@ -377,7 +377,7 @@ class TestDownsampleMajority:
         rng = np.random.default_rng(17)
         for seed in range(5):
             secret = random_image(rng, 16, 16)
-            merged = vcs.reconstruct(vcs.encode(secret, params, seed).shares)
+            merged = vcs.reconstruct(vcs.encode(secret, params, seed))
             down = downsample_majority(merged, params.block_h, params.block_w)
             # graying only adds black: down >= secret, equal on black pixels
             assert np.all(down.a >= secret.a)

@@ -1,4 +1,7 @@
+import contextlib
+import logging
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -63,9 +66,10 @@ class TestCreateGroup:
 
     def test_n9_expansion(self):
         rec = cas.create_group("g", 9, 3, 2)
+        secret = cas.render_key_image(rec.key)
         assert len(rec.shares) == 9
-        assert rec.shares[0].height == rec.secret_h * 2
-        assert rec.shares[0].width == rec.secret_w * 3
+        assert rec.shares[0].height == secret.height * 2
+        assert rec.shares[0].width == secret.width * 3
 
     def test_distinct_keys(self):
         a = cas.create_group("g", 2, 6, 10)
@@ -75,6 +79,21 @@ class TestCreateGroup:
     def test_inadmissible_n(self):
         with pytest.raises(ValueError):
             cas.create_group("g", 5, 6, 1)
+
+    def test_limits(self):
+        t0 = time.monotonic()
+        for n, key_length in ((vcs.MAX_SHARES + 3, 6), (42, 6), (9, cas.MAX_KEY_LENGTH + 1)):
+            with pytest.raises(ValueError):
+                cas.create_group("g", n, key_length, 1)
+        assert time.monotonic() - t0 < 1.0
+        assert len(cas.create_group("g", 9, cas.MAX_KEY_LENGTH, 1).key) == cas.MAX_KEY_LENGTH
+
+    def test_payload_bound_is_largest_share(self):
+        p = vcs.scheme_params(vcs.MAX_SHARES)
+        secret = cas.render_key_image("W" * cas.MAX_KEY_LENGTH)
+        share = BitImage.blank(secret.width * p.block_w, secret.height * p.block_h)
+        assert (share.width, share.height) == (6336, 360)
+        assert len(write_pbm(share, "P4")) == cas.MAX_PAYLOAD == 285_132
 
 
 class TestAuthenticate:
@@ -132,18 +151,71 @@ class TestRecordPersistence:
         assert loaded.issued == [1, 3]
         assert set(loaded.submissions) == {1, 3}
         assert loaded.submissions[1] == rec.shares[0]
-        assert (loaded.secret_w, loaded.secret_h) == (rec.secret_w, rec.secret_h)
+
+    @pytest.mark.parametrize("damage", ["swapped-block", "wrong-m", "share-size", "untiled"])
+    def test_inconsistent_record_rejected(self, tmp_path, damage):
+        rec = cas.create_group("grp", 9, 2, 41)
+        cas.save_record(rec, tmp_path)
+        gdir = tmp_path / "grp"
+        h, w = rec.shares[0].a.shape
+        record_txt = (gdir / "record.txt").read_text()
+        assert "scheme 2ofn 3 9 6 2 3\n" in record_txt
+        if damage == "swapped-block":
+            record_txt = record_txt.replace("2ofn 3 9 6 2 3", "2ofn 3 9 6 3 2")
+        elif damage == "wrong-m":
+            record_txt = record_txt.replace("2ofn 3 9 6 2 3", "2ofn 3 9 8 2 4")
+        elif damage == "share-size":
+            (gdir / "share_2.pbm").write_bytes(write_pbm(BitImage.blank(w + 3, h), "P4"))
+        else:
+            for i in range(1, 10):
+                (gdir / f"share_{i}.pbm").write_bytes(write_pbm(BitImage.blank(w + 1, h), "P4"))
+        (gdir / "record.txt").write_text(record_txt)
+        with pytest.raises(ValueError):
+            cas.load_record("grp", tmp_path)
+
+    def test_record_with_secret_line_loads(self, tmp_path, model):
+        """A record.txt as earlier versions wrote it, with a `secret` line."""
+        rec = cas.create_group("old", 9, 4, 42)
+        gdir = tmp_path / "old"
+        gdir.mkdir()
+        h, w = rec.shares[0].a.shape
+        (gdir / "record.txt").write_text(
+            f"key {rec.key}\nscheme 2ofn 3 9 6 2 3\nsecret {w // 3} {h // 2}\n"
+            "issued 2 5\nsubmitted 2 5\nstatus Pending\n")
+        for i, share in enumerate(rec.shares, start=1):
+            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(share, "P4"))
+        for i in (2, 5):
+            (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(rec.shares[i - 1], "P4"))
+        loaded = cas.load_record("old", tmp_path)
+        assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [2, 5])
+        assert cas.authenticate(loaded, model) == cas.AuthDecision(cas.GRANTED)
+
+
+@contextlib.contextmanager
+def serving(state_dir, model):
+    """A CasServer for state_dir on a free port, stopped on exit; it polls
+    for shutdown every 50 ms."""
+    srv = cas.CasServer(("127.0.0.1", 0), cas.CasState(state_dir, model))
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def client(srv, timeout=30.0):
+    return cas.CasClient("127.0.0.1", srv.server_address[1], timeout=timeout)
 
 
 @pytest.fixture()
 def server(tmp_path, model):
-    state = cas.CasState(tmp_path / "state", model)
-    srv = cas.CasServer(("127.0.0.1", 0), state)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    with serving(tmp_path / "state", model) as srv:
+        yield srv
 
 
 def pbm_payload(payload):
@@ -208,35 +280,68 @@ class TestProtocol:
 
     def test_state_survives_restart(self, tmp_path, model):
         state_dir = tmp_path / "state"
-        state = cas.CasState(state_dir, model)
-        srv = cas.CasServer(("127.0.0.1", 0), state)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        port = srv.server_address[1]
-        c = cas.CasClient("127.0.0.1", port)
-        c.create("g", 2, 4, 88)
-        _, p1 = c.fetch("g", 1)
-        _, p2 = c.fetch("g", 2)
-        c.submit("g", 1, pbm_payload(p1))
-        c.submit("g", 2, pbm_payload(p2))
-        c.close()
-        srv.shutdown()
-        srv.server_close()
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            c.create("g", 2, 4, 88)
+            _, p1 = c.fetch("g", 1)
+            _, p2 = c.fetch("g", 2)
+            c.submit("g", 1, pbm_payload(p1))
+            c.submit("g", 2, pbm_payload(p2))
+            c.close()
 
         # fresh process state from disk: submissions and shares intact
-        state2 = cas.CasState(state_dir, model)
-        srv2 = cas.CasServer(("127.0.0.1", 0), state2)
-        thread2 = threading.Thread(target=srv2.serve_forever, daemon=True)
-        thread2.start()
-        c2 = cas.CasClient("127.0.0.1", srv2.server_address[1])
-        try:
-            _, p1b = c2.fetch("g", 1)
-            assert pbm_payload(p1b) == pbm_payload(p1)
-            assert c2.auth("g") == "GRANTED g"
-        finally:
-            c2.close()
-            srv2.shutdown()
-            srv2.server_close()
+        with serving(state_dir, model) as srv2:
+            c2 = client(srv2)
+            try:
+                _, p1b = c2.fetch("g", 1)
+                assert p1b == p1
+                assert c2.auth("g") == "GRANTED g"
+            finally:
+                c2.close()
+
+    def test_corrupt_record_moved_aside_at_startup(self, tmp_path, model, caplog):
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            for gid in ("good", "garbage", "swapped"):
+                assert c.create(gid, 9, 6, 90) == f"OK {gid} 9"
+            p1, p2 = (pbm_payload(c.fetch("good", m)[1]) for m in (1, 2))
+            c.close()
+        swapped = state_dir / "swapped" / "record.txt"
+        key = swapped.read_text().splitlines()[0].split()[1]
+        swapped.write_text(swapped.read_text().replace("2ofn 3 9 6 2 3", "2ofn 3 9 6 3 2"))
+        (state_dir / "garbage" / "record.txt").write_text("not a record\n")
+        (state_dir / "stray.d").mkdir()
+        (state_dir / "stray.d" / "record.txt").write_text("not a record\n")
+
+        with caplog.at_level(logging.WARNING, logger="viskey.cas"):
+            with serving(state_dir, model) as srv:
+                c = client(srv)
+                try:
+                    assert c.auth("garbage").startswith("ERR unknowngroup")
+                    assert c.auth("swapped").startswith("ERR unknowngroup")
+                    assert c.submit("good", 1, p1) == "ACCEPTED 1"
+                    assert c.submit("good", 2, p2) == "ACCEPTED 2"
+                    assert c.auth("good") == "GRANTED good"
+                finally:
+                    c.close()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        assert any("garbage" in w and "KeyError" in w for w in warnings)
+        assert any("swapped" in w and "ValueError" in w for w in warnings)
+        assert key not in caplog.text
+        names = sorted(p.name for p in state_dir.iterdir())
+        assert names[0].startswith("garbage.corrupt") and names[1] == "good"
+        assert names[2] == "stray.d" and names[3].startswith("swapped.corrupt")
+        assert len(names) == 4
+
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.auth("good") == "GRANTED good"
+                assert c.create("swapped", 2, 4, 1) == "OK swapped 2"
+            finally:
+                c.close()
 
 
 class TestProtocolInput:
@@ -246,6 +351,10 @@ class TestProtocolInput:
             assert c._request("CREATE g x 6 1").startswith("ERR usage")
             assert c._request("FETCH g one").startswith("ERR usage")
             assert c._request("SUBMIT g 1 -5").startswith("ERR usage")
+            # int() would read these as 12, 2 and 3
+            assert c._request("CREATE g 1_2 6 1").startswith("ERR usage")
+            assert c._request("CREATE g +2 6 1").startswith("ERR usage")
+            assert c._request("CREATE g 9 \u0663 1").startswith("ERR usage")
             assert c.create("g", 2, 4, 1) == "OK g 2"
             assert c.fetch("g", 1)[0].startswith("SHARE g 1 ")
         finally:
@@ -275,3 +384,31 @@ class TestProtocolInput:
             c.close()
         assert [p.name for p in tmp_path.iterdir()] == ["state"]
         assert [p.name for p in (tmp_path / "state").iterdir()] == ["x" * 64]
+
+    def test_limits_keep_connection(self, server):
+        c = client(server, timeout=5.0)
+        try:
+            t0 = time.monotonic()
+            assert c._request("CREATE g 42 6 1").startswith("ERR badscheme")
+            assert c._request(f"CREATE g 9 {cas.MAX_KEY_LENGTH + 1} 1").startswith("ERR badscheme")
+            assert time.monotonic() - t0 < 1.0
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()
+
+    def test_oversized_submit_closes_connection(self, server):
+        c = client(server, timeout=5.0)
+        try:
+            # a payload of the bound itself is read (and here refused on its content)
+            assert c.submit("nope", 1, bytes(cas.MAX_PAYLOAD)).startswith("ERR unknowngroup")
+            # one byte more is refused before any payload byte is sent or read
+            c.sock.sendall(f"SUBMIT nope 1 {cas.MAX_PAYLOAD + 1}\n".encode())
+            assert c.rfile.readline().startswith(b"ERR payload")
+            assert c.rfile.readline() == b""
+        finally:
+            c.close()
+        c = client(server, timeout=5.0)
+        try:
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()

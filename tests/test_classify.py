@@ -5,7 +5,7 @@ from conftest import bits
 from viskey import cas, classify, font, vcs
 from viskey.bitimage import BitImage, downsample_majority
 from viskey.classify import LabeledSample, Model
-from viskey.denoise import adaptive_filter, default_params
+from viskey.denoise import adaptive_filter
 from viskey.font import ALPHABET
 from viskey.ocr import extract_features, normalize_glyph, segment
 
@@ -145,8 +145,8 @@ class TestTrainModel:
         schemes = [vcs.scheme_params(n) for n in (2, 9, 12)]
         for k, (source_id, secret) in enumerate(font.corpus()):
             for p in schemes:
-                stacked = vcs.reconstruct(vcs.encode(secret, p, 4000 + k).shares[:2])
-                clean = downsample_majority(adaptive_filter(stacked, default_params(p)),
+                stacked = vcs.reconstruct(vcs.encode(secret, p, 4000 + k)[:2])
+                clean = downsample_majority(adaptive_filter(stacked, p),
                                             p.block_h, p.block_w)
                 (box,) = segment(clean)
                 feats = extract_features(normalize_glyph(clean, box))
@@ -214,13 +214,13 @@ class TestDecodeString:
     def test_end_to_end_a7k(self, model):
         p = vcs.scheme_params(2)
         secret = cas.render_key_image("A7K", "f0")
-        merged = vcs.reconstruct(vcs.encode(secret, p, 12345).shares)
+        merged = vcs.reconstruct(vcs.encode(secret, p, 12345))
         out = classify.decode_string(merged, model, p)
         assert out == "A7K"
 
     def test_single_zero(self, model):
         p = vcs.scheme_params(2)
         secret = cas.render_key_image("0", "f0")
-        merged = vcs.reconstruct(vcs.encode(secret, p, 999).shares)
+        merged = vcs.reconstruct(vcs.encode(secret, p, 999))
         out = classify.decode_string(merged, model, p)
         assert out == "0"

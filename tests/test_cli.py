@@ -122,6 +122,15 @@ class TestExitCodes:
         assert code == 1
         assert "9" in err
 
+    def test_scheme_over_limit(self, capsys, tmp_path):
+        key = tmp_path / "k.pbm"
+        run(capsys, "render", "A", "--out", str(key))
+        code, _, err = run(capsys, "encode", str(key), "--scheme", "42",
+                           "--seed", "1", "--out-prefix", str(tmp_path / "s"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not list(tmp_path.glob("s_*"))
+
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "encode", "--no-such-flag")
         assert code == 2

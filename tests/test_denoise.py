@@ -6,67 +6,50 @@ import pytest
 from conftest import bits, random_image
 from viskey import denoise, vcs
 from viskey.bitimage import BitImage, DimensionError, downsample_majority, write_pbm
-from viskey.denoise import FilterParams, adaptive_filter, decide_blocks, default_params
+from viskey.denoise import adaptive_filter, cutoffs, decide_blocks
 
-TWO_OF_TWO_CUTOFFS = default_params(vcs.scheme_params(2)).cutoffs
-
-
-class TestFilterParams:
-    def test_cutoff_order(self):
-        with pytest.raises(ValueError):
-            FilterParams(1, 2, (2,), (1,))
-        with pytest.raises(ValueError):
-            FilterParams(2, 3, (2, 4), (3, 5))
-        with pytest.raises(ValueError):
-            FilterParams(1, 2, (), (2,))
-        lo, hi = FilterParams(2, 3, (0, 1), (5, 6)).cutoffs
-        assert 0 < lo < hi < 1
-
-    def test_block_weights_disjoint_and_in_range(self):
-        with pytest.raises(ValueError):
-            FilterParams(1, 2, (1,), (1, 2))
-        with pytest.raises(ValueError):
-            FilterParams(1, 2, (1,), (3,))
-        with pytest.raises(ValueError):
-            FilterParams(0, 2, (1,), (2,))
+TWO_OF_TWO_CUTOFFS = cutoffs(vcs.scheme_params(2))
 
 
 class TestDefaultParams:
+    """The scheme's stacked weights and the cutoffs that follow from them."""
+
     def test_two_of_two_cutoffs(self):
-        fp = default_params(vcs.scheme_params(2))
-        assert fp.cutoffs == pytest.approx((2 / 3, 5 / 6))
+        assert cutoffs(vcs.scheme_params(2)) == pytest.approx((2 / 3, 5 / 6))
         assert (denoise.INITIAL_WINDOW, denoise.MAX_WINDOW, denoise.GROWTH_STEP) == (3, 11, 2)
 
     def test_t3_cutoffs(self):
-        fp = default_params(vcs.scheme_params(9))
-        assert fp.cutoffs == pytest.approx((0.3889, 0.4444), abs=1e-4)
+        assert cutoffs(vcs.scheme_params(9)) == pytest.approx((0.3889, 0.4444), abs=1e-4)
 
     def test_block_weights(self):
-        assert default_params(vcs.scheme_params(2)) == FilterParams(1, 2, (1,), (2,))
-        assert default_params(vcs.scheme_params(9)) == FilterParams(2, 3, (2,), (3, 4, 5, 6))
-        assert default_params(vcs.scheme_params(12)) == FilterParams(
-            3, 4, (3,), (5, 6, 7, 8, 9, 10, 11, 12))
+        def weights(n):
+            p = vcs.scheme_params(n)
+            return p.block_h, p.block_w, p.white, p.black
+
+        assert weights(2) == (1, 2, (1,), (2,))
+        assert weights(9) == (2, 3, (2,), (3, 4, 5, 6))
+        assert weights(12) == (3, 4, (3,), (5, 6, 7, 8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n", [2, 9, 12, 15])
     def test_ordering(self, n):
-        lo, hi = default_params(vcs.scheme_params(n)).cutoffs
+        lo, hi = cutoffs(vcs.scheme_params(n))
         assert lo < hi
 
 
 class TestAdaptiveFilter:
     def test_all_black_stays_black(self):
-        fp = default_params(vcs.scheme_params(2))
+        p = vcs.scheme_params(2)
         img = BitImage(np.ones((20, 20), dtype=np.uint8))
-        assert adaptive_filter(img, fp) == img
+        assert adaptive_filter(img, p) == img
 
     def test_half_density_tiling_goes_white(self):
         # large region tiled with [initial 1, 0] blocks: every 3x3 window has
         # ratio in [4/9, 5/9], strictly below the 2/3 white cutoff
-        fp = default_params(vcs.scheme_params(2))
+        p = vcs.scheme_params(2)
         tile = np.tile([1, 0], (20, 10)).astype(np.uint8)
-        out = adaptive_filter(BitImage(tile), fp)
+        out = adaptive_filter(BitImage(tile), p)
         assert out.a[5:15, 5:15].sum() == 0
-        assert denoise._window_filter(tile, *fp.cutoffs)[5:15, 5:15].sum() == 0
+        assert denoise._window_filter(tile, *cutoffs(p))[5:15, 5:15].sum() == 0
 
     def test_single_white_speck_restored(self):
         a = np.ones((9, 9), dtype=np.uint8)
@@ -128,25 +111,24 @@ class TestAdaptiveFilter:
     def test_pure_function(self):
         rng = np.random.default_rng(29)
         img = random_image(rng, 20, 20)
-        fp = default_params(vcs.scheme_params(2))
-        assert adaptive_filter(img, fp) == adaptive_filter(img, fp)
-        assert decide_blocks(img, fp) == decide_blocks(img, fp)
+        p = vcs.scheme_params(2)
+        assert adaptive_filter(img, p) == adaptive_filter(img, p)
+        assert decide_blocks(img, p) == decide_blocks(img, p)
 
 
 class TestBlockMode:
     @pytest.mark.parametrize("n", [2, 9, 12])
     def test_clean_stack_recovers_secret(self, n):
         p = vcs.scheme_params(n)
-        fp = default_params(p)
         rng = np.random.default_rng(31 + n)
         for trial in range(20):
             secret = random_image(rng, 12, 10)
-            shares = vcs.encode(secret, p, 700 + trial).shares
+            shares = vcs.encode(secret, p, 700 + trial)
             for k in sorted({2, min(3, n), n}):
                 picked = rng.choice(n, size=k, replace=False)
                 stacked = vcs.reconstruct([shares[i] for i in picked])
-                assert decide_blocks(stacked, fp) == secret, k
-                filtered = adaptive_filter(stacked, fp)
+                assert decide_blocks(stacked, p) == secret, k
+                filtered = adaptive_filter(stacked, p)
                 assert downsample_majority(filtered, p.block_h, p.block_w) == secret, k
 
     def test_clean_stack_runs_no_window_pass(self, monkeypatch):
@@ -156,16 +138,16 @@ class TestBlockMode:
         monkeypatch.setattr(denoise, "_window_counts", no_window)
         p = vcs.scheme_params(9)
         secret = random_image(np.random.default_rng(37), 16, 8)
-        shares = vcs.encode(secret, p, 41).shares
+        shares = vcs.encode(secret, p, 41)
         for k in (2, 3, 9):
-            assert decide_blocks(vcs.reconstruct(shares[:k]), default_params(p)) == secret, k
+            assert decide_blocks(vcs.reconstruct(shares[:k]), p) == secret, k
 
     def test_noise_block_takes_windowed_output_only(self, monkeypatch):
         # every 1x2 block holds one black subpixel (white under 2-of-2)
         # except two planted noise blocks with none; the stand-in windowed
         # filter calls every subpixel black but splits the second noise block
         # 1:1, a tie that goes black
-        fp = default_params(vcs.scheme_params(2))
+        p = vcs.scheme_params(2)
         a = np.tile([1, 0], (6, 5)).astype(np.uint8)
         a[3, 4:6] = 0
         a[5, 0:2] = 0
@@ -180,18 +162,18 @@ class TestBlockMode:
         monkeypatch.setattr(denoise, "_window_filter", windowed)
         expected = np.zeros((6, 5), dtype=np.uint8)
         expected[3, 2] = expected[5, 0] = 1
-        assert np.array_equal(decide_blocks(BitImage(a), fp).a, expected)
-        assert calls == [fp.cutoffs]
-        assert np.array_equal(adaptive_filter(BitImage(a), fp).a, np.repeat(expected, 2, axis=1))
+        assert np.array_equal(decide_blocks(BitImage(a), p).a, expected)
+        assert calls == [cutoffs(p)]
+        assert np.array_equal(adaptive_filter(BitImage(a), p).a, np.repeat(expected, 2, axis=1))
 
     @pytest.mark.parametrize("n,h,w", [(2, 9, 9), (2, 3, 3), (9, 8, 10), (9, 7, 9)])
     def test_untiled_image_raises(self, n, h, w):
-        fp = default_params(vcs.scheme_params(n))
+        p = vcs.scheme_params(n)
         img = random_image(np.random.default_rng(43), w, h)
         with pytest.raises(DimensionError):
-            decide_blocks(img, fp)
+            decide_blocks(img, p)
         with pytest.raises(DimensionError):
-            adaptive_filter(img, fp)
+            adaptive_filter(img, p)
 
 
 def _damaged_stacks(n, flip, torn):
@@ -201,7 +183,7 @@ def _damaged_stacks(n, flip, torn):
     rng = np.random.default_rng([n, int(flip * 1000), torn])
     for trial in range(4):
         secret = random_image(rng, 24, 16)
-        shares = vcs.encode(secret, p, 900 + trial).shares
+        shares = vcs.encode(secret, p, 900 + trial)
         i, j = rng.choice(n, size=2, replace=False)
         a = vcs.reconstruct([shares[i], shares[j]]).a.copy()
         a ^= (rng.random(a.shape) < flip).astype(np.uint8)
@@ -228,8 +210,7 @@ class TestDamagedStackDecode:
     def test_decode_digest_pinned(self, case):
         via_filter, direct = hashlib.sha256(), hashlib.sha256()
         for p, img in _damaged_stacks(*case):
-            fp = default_params(p)
-            filtered = adaptive_filter(img, fp)
+            filtered = adaptive_filter(img, p)
             via_filter.update(write_pbm(downsample_majority(filtered, p.block_h, p.block_w), "P4"))
-            direct.update(write_pbm(decide_blocks(img, fp), "P4"))
+            direct.update(write_pbm(decide_blocks(img, p), "P4"))
         assert via_filter.hexdigest() == direct.hexdigest() == self.DIGESTS[case]

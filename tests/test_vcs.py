@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_image
 from viskey import vcs
+from viskey.bitimage import BitImage
 
 # Frozen fixture: s1 of the t=3 scheme in surviving-column order,
 # rows v1..v9 over blocks B1..B6.
@@ -45,7 +46,7 @@ class TestSchemeParams:
             assert p.block_h * p.block_w == p.m
             assert p.block_h <= p.block_w
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 6, 7, 8, 10, 11])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 36, 42])
     def test_inadmissible(self, n):
         with pytest.raises(ValueError) as e:
             vcs.scheme_params(n)
@@ -144,18 +145,16 @@ class TestEncode:
         secret = random_image(rng, 5, 4)
         for n in (2, 9):
             p = vcs.scheme_params(n)
-            ss = vcs.encode(secret, p, 1)
-            assert len(ss.shares) == n
-            for sh in ss.shares:
+            shares = vcs.encode(secret, p, 1)
+            assert len(shares) == n
+            for sh in shares:
                 assert (sh.height, sh.width) == (4 * p.block_h, 5 * p.block_w)
-            assert (ss.secret_w, ss.secret_h) == (5, 4)
 
     def test_two_of_two_white_identical_black_complementary(self):
         from conftest import bits
 
         p = vcs.scheme_params(2)
-        ss = vcs.encode(bits("01"), p, 5)
-        a, b = ss.shares[0].a, ss.shares[1].a
+        a, b = (sh.a for sh in vcs.encode(bits("01"), p, 5))
         # white pixel: identical blocks with one black subpixel
         assert np.array_equal(a[0, :2], b[0, :2]) and a[0, :2].sum() == 1
         # black pixel: complementary blocks
@@ -166,7 +165,7 @@ class TestEncode:
         secret = random_image(rng, 8, 8)
         for n, expect in ((2, 1), (9, 2)):
             p = vcs.scheme_params(n)
-            for sh in vcs.encode(secret, p, 2).shares:
+            for sh in vcs.encode(secret, p, 2):
                 sums = sh.a.reshape(8, p.block_h, 8, p.block_w).sum(axis=(1, 3))
                 assert np.all(sums == expect)
 
@@ -174,8 +173,8 @@ class TestEncode:
         rng = np.random.default_rng(2)
         secret = random_image(rng, 6, 6)
         p = vcs.scheme_params(9)
-        assert vcs.encode(secret, p, 42).shares == vcs.encode(secret, p, 42).shares
-        assert vcs.encode(secret, p, 42).shares != vcs.encode(secret, p, 43).shares
+        assert vcs.encode(secret, p, 42) == vcs.encode(secret, p, 42)
+        assert vcs.encode(secret, p, 42) != vcs.encode(secret, p, 43)
 
     # SHA-256 over every share's raster, in share order, for one fixed secret
     # and seed: pins the output to the per-share encoder these digests were
@@ -190,7 +189,7 @@ class TestEncode:
     def test_output_pinned(self, n):
         secret = random_image(np.random.default_rng(20), 17, 11)
         p = vcs.scheme_params(n)
-        shares = vcs.encode(secret, p, 424242).shares
+        shares = vcs.encode(secret, p, 424242)
         digest = hashlib.sha256()
         for sh in shares:
             assert (sh.height, sh.width) == (11 * p.block_h, 17 * p.block_w)
@@ -210,8 +209,7 @@ class TestReconstruct:
         from conftest import bits
 
         p = vcs.scheme_params(2)
-        ss = vcs.encode(bits("01"), p, 9)
-        merged = vcs.reconstruct(ss.shares)
+        merged = vcs.reconstruct(vcs.encode(bits("01"), p, 9))
         assert merged.a[0, 2:].sum() == 2  # black pixel fully black
         assert merged.a[0, :2].sum() == 1  # white pixel half black
 
@@ -219,9 +217,9 @@ class TestReconstruct:
         from conftest import bits
 
         p = vcs.scheme_params(9)
-        ss = vcs.encode(bits("01"), p, 11)
+        shares = vcs.encode(bits("01"), p, 11)
         for i, j in itertools.combinations(range(9), 2):
-            merged = vcs.reconstruct([ss.shares[i], ss.shares[j]])
+            merged = vcs.reconstruct([shares[i], shares[j]])
             white = int(merged.a[:, :3].sum())
             black = int(merged.a[:, 3:].sum())
             assert white == 2
@@ -231,7 +229,7 @@ class TestReconstruct:
 class TestSidecar:
     def test_roundtrip(self):
         p = vcs.scheme_params(9)
-        line = vcs.share_sidecar(p, 40, 30, 4, "grp-7")
+        line = vcs.share_sidecar(p, BitImage.blank(40 * 3, 30 * 2), 4, "grp-7")
         params, sw, sh, idx, gid = vcs.parse_sidecar(line)
         assert params == p and (sw, sh, idx, gid) == (40, 30, 4, "grp-7")
 
