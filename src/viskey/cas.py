@@ -110,6 +110,11 @@ def _max_payload() -> int:
 
 MAX_PAYLOAD = _max_payload()
 
+# The longest legal request line, CRLF included: CREATE with a 64-character
+# group id, the largest n and key length and a 20-digit (any 64-bit) seed.
+# Every SUBMIT line is shorter.
+MAX_LINE = len(f"CREATE {'x' * 64} {vcs.MAX_SHARES} {MAX_KEY_LENGTH} {2**64 - 1}\r\n")
+
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     """Stack the submitted shares and compare the machine-read key."""
@@ -243,10 +248,12 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         state = self.server.cas_state
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_LINE + 1)
             if not line:
                 return
             try:
+                if len(line) > MAX_LINE:
+                    raise ProtocolError("toolong", f"request line exceeds {MAX_LINE} bytes")
                 # undecodable bytes become U+FFFD, which no verb or group id accepts
                 text = line.decode("utf-8", errors="replace").strip()
                 reply, payload = self._dispatch(state, text)
@@ -258,7 +265,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             self.wfile.write(reply.encode("utf-8") + b"\n" + payload)
             self.wfile.flush()
-            if reply.startswith("ERR payload"):  # the stream is out of step
+            if reply.startswith(("ERR payload", "ERR toolong")):  # the stream is out of step
                 return
 
     def _dispatch(self, state, line):
@@ -275,10 +282,7 @@ class _Handler(socketserver.StreamRequestHandler):
         # int() alone would also take "+1", "1_2" and non-ASCII digits
         if not all(v.isascii() and v.isdigit() for v in args[1:]):
             raise ProtocolError("usage", usage)
-        try:
-            nums = [int(v) for v in args[1:]]
-        except ValueError:  # more digits than int() converts
-            raise ProtocolError("usage", usage) from None
+        nums = [int(v) for v in args[1:]]  # MAX_LINE keeps them within int()'s digit limit
         if cmd == "SUBMIT":
             if nums[1] > MAX_PAYLOAD:
                 raise ProtocolError("payload", f"payload exceeds {MAX_PAYLOAD} bytes")

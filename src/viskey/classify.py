@@ -19,7 +19,7 @@ import numpy as np
 from .bitimage import BitImage
 from .denoise import decide_blocks
 from .font import ALPHABET
-from .ocr import FEATURE_LEN, extract_features, normalize_glyph, segment
+from .ocr import FEATURE_LEN, extract_features, normalize_glyph, normalize_glyphs, segment
 from .vcs import SchemeParams
 
 log = logging.getLogger(__name__)
@@ -56,9 +56,11 @@ class Model:
         return np.stack([s.features for s in self.samples])
 
     @cached_property
-    def label_ranks(self) -> np.ndarray:
-        """Alphabet position of each sample's label, the 1-NN tie rule."""
-        return np.array([ALPHABET.index(s.label) for s in self.samples])
+    def tie_order(self) -> np.ndarray:
+        """Sample indices by (alphabet rank of the label, training index):
+        the 1-NN tie rule, built once per model."""
+        ranks = [ALPHABET.index(s.label) for s in self.samples]
+        return np.lexsort((np.arange(len(ranks)), ranks))
 
 
 def euclidean_distance(a, b) -> float:
@@ -76,7 +78,7 @@ def train_model(glyphs) -> Model:
     Features are taken from each glyph as it is; images that do not segment
     into exactly one glyph are skipped with a warning.
     """
-    samples = []
+    kept = []
     skipped = []
     for source_id, glyph in glyphs:
         label, _, font_id = source_id.partition("_")
@@ -87,32 +89,45 @@ def train_model(glyphs) -> Model:
             log.warning("skipping %s: segmentation found %d glyphs", source_id, len(boxes))
             skipped.append(source_id)
             continue
-        feats = extract_features(normalize_glyph(glyph, boxes[0]))
-        samples.append(LabeledSample(label, feats, source_id))
-    if not samples:
+        kept.append((label, source_id, normalize_glyph(glyph, boxes[0])))
+    if not kept:
         raise ValueError("no usable corpus glyphs")
-    return Model(tuple(samples), skipped=tuple(skipped))
+    feats = extract_features(np.stack([bitmap for _, _, bitmap in kept]))
+    samples = tuple(LabeledSample(label, f, source_id)
+                    for (label, source_id, _), f in zip(kept, feats))
+    return Model(samples, skipped=tuple(skipped))
+
+
+def nearest(X, model: Model):
+    """Index and Euclidean distance of the nearest training sample for each
+    row of the (k, 48) array X. Ties prefer the alphabet-smaller label
+    (digits before letters), then the earlier training sample."""
+    if not model.samples:
+        raise ValueError("empty model")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected one feature vector per row, got shape {X.shape}")
+    F = model.feature_matrix
+    # row by row, so the largest temporary is one (S, 48) difference
+    dists = np.array([np.sqrt(np.sum((F - x) ** 2, axis=1)) for x in X])
+    dists = dists.reshape(len(X), len(F))
+    # argmin takes the first minimum, so scanning in tie order applies the rule
+    order = model.tie_order
+    best = order[np.argmin(dists[:, order], axis=1)]
+    return best, dists[np.arange(len(best)), best]
 
 
 def classify_1nn(x, model: Model):
-    """Nearest training sample's label; ties prefer the alphabet-smaller
-    label (digits before letters), then the earlier training sample."""
-    if not model.samples:
-        raise ValueError("empty model")
-    x = np.asarray(x, dtype=float)
-    dists = np.sqrt(np.sum((model.feature_matrix - x) ** 2, axis=1))
-    best = np.lexsort((np.arange(len(dists)), model.label_ranks, dists))[0]
-    return model.samples[best].label, float(dists[best])
+    """Nearest training sample's label and distance for one feature vector."""
+    (best,), (dist,) = nearest([x], model)
+    return model.samples[best].label, float(dist)
 
 
 def decode_string(img: BitImage, model: Model, params: SchemeParams) -> str:
     """Read a raw OR-stacked key image of the given scheme back into its text."""
     clean = decide_blocks(img, params)
-    out = []
-    for box in segment(clean):
-        label, _ = classify_1nn(extract_features(normalize_glyph(clean, box)), model)
-        out.append(label)
-    return "".join(out)
+    best, _ = nearest(extract_features(normalize_glyphs(clean, segment(clean))), model)
+    return "".join(model.samples[i].label for i in best)
 
 
 def save_model(model: Model, path) -> None:

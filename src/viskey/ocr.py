@@ -7,26 +7,14 @@ zone contributes (density, x-centroid, y-centroid), all scaled into [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bitimage import BitImage, Rect, crop, scale_nn
+from .bitimage import BitImage, DimensionError, Rect
 
 GLYPH_SIZE = 32
 ZONE = 8  # 4x4 grid of 8x8 zones
 FEATURE_LEN = 48
 MIN_GLYPH_WIDTH = 2  # narrower column runs are specks, not characters
-
-
-@dataclass(frozen=True)
-class Glyph:
-    box: Rect
-    bitmap: BitImage
-
-    def __post_init__(self):
-        if self.bitmap.width != GLYPH_SIZE or self.bitmap.height != GLYPH_SIZE:
-            raise ValueError(f"glyph bitmap must be {GLYPH_SIZE}x{GLYPH_SIZE}")
 
 
 def segment(img: BitImage):
@@ -62,37 +50,54 @@ def segment(img: BitImage):
     return boxes
 
 
-def normalize_glyph(img: BitImage, box: Rect) -> Glyph:
-    """Crop the box and stretch it to the 32x32 classification grid."""
-    return Glyph(box, scale_nn(crop(img, box), GLYPH_SIZE, GLYPH_SIZE))
+def normalize_glyphs(img: BitImage, boxes) -> np.ndarray:
+    """Crop every box and stretch it to the 32x32 classification grid.
 
-
-def geometric_moment(block: np.ndarray, p: int, q: int) -> float:
-    """m_pq = sum_x sum_y x^p y^q f(x, y), with x = column, y = row."""
-    ys, xs = np.nonzero(block)
-    return float(np.sum((xs**p) * (ys**q)))
-
-
-def extract_features(g: Glyph) -> np.ndarray:
-    """48 features: (density, x_c, y_c) per 8x8 zone, zones row-major.
-
-    Centroids are divided by 7 (the largest local coordinate) so every
-    component lives in [0, 1]; an empty zone reports centroid (0.5, 0.5).
+    One gather for all boxes, with `scale_nn`'s floor formula per box;
+    returns a (len(boxes), 32, 32) array.
     """
-    a = g.bitmap.a
-    feats = np.empty(FEATURE_LEN)
-    k = 0
-    for zi in range(0, GLYPH_SIZE, ZONE):
-        for zj in range(0, GLYPH_SIZE, ZONE):
-            block = a[zi : zi + ZONE, zj : zj + ZONE]
-            m00 = int(block.sum())
-            density = m00 / (ZONE * ZONE)
-            if m00 == 0:
-                xc = yc = 0.5
-            else:
-                ys, xs = np.nonzero(block)
-                xc = float(xs.mean()) / (ZONE - 1)
-                yc = float(ys.mean()) / (ZONE - 1)
-            feats[k : k + 3] = (density, xc, yc)
-            k += 3
-    return feats
+    b = np.array([(r.top, r.bottom, r.left, r.right) for r in boxes], dtype=np.intp).reshape(-1, 4)
+    if b.size and (b[:, 1].max() >= img.height or b[:, 3].max() >= img.width):
+        raise DimensionError(f"a box exceeds the {img.width}x{img.height} image")
+    steps = np.arange(GLYPH_SIZE)
+    rows = b[:, :1] + (steps * (b[:, 1:2] - b[:, :1] + 1)) // GLYPH_SIZE
+    cols = b[:, 2:3] + (steps * (b[:, 3:4] - b[:, 2:3] + 1)) // GLYPH_SIZE
+    return img.a[rows[:, :, None], cols[:, None, :]]
+
+
+def normalize_glyph(img: BitImage, box: Rect) -> np.ndarray:
+    """The 32x32 bitmap of one box; see `normalize_glyphs`."""
+    return normalize_glyphs(img, [box])[0]
+
+
+def geometric_moment(block, p: int, q: int):
+    """m_pq = sum_x sum_y x^p y^q f(x, y) over the last two axes, with
+    x = column, y = row; one moment per leading index."""
+    block = np.asarray(block)
+    h, w = block.shape[-2:]
+    weights = np.outer(np.arange(h) ** q, np.arange(w) ** p)
+    return (block * weights).sum(axis=(-2, -1))
+
+
+def extract_features(glyphs) -> np.ndarray:
+    """48 features per (..., 32, 32) bitmap: (density, x_c, y_c) per 8x8
+    zone, zones row-major; returns (..., 48).
+
+    Centroids are m10/m00 and m01/m00 divided by 7 (the largest local
+    coordinate), so every component lives in [0, 1]; an empty zone reports
+    centroid (0.5, 0.5).
+    """
+    a = np.asarray(glyphs)
+    if a.shape[-2:] != (GLYPH_SIZE, GLYPH_SIZE):
+        raise ValueError(f"glyph bitmaps must be {GLYPH_SIZE}x{GLYPH_SIZE}, got {a.shape}")
+    lead = a.shape[:-2]
+    grid = GLYPH_SIZE // ZONE
+    zones = a.reshape(lead + (grid, ZONE, grid, ZONE)).swapaxes(-3, -2)
+    m00 = geometric_moment(zones, 0, 0)
+    empty = m00 == 0
+    safe = np.where(empty, 1, m00)
+    # (m / m00) / 7 in that order: the same float as the zone mean over 7
+    xc = np.where(empty, 0.5, (geometric_moment(zones, 1, 0) / safe) / (ZONE - 1))
+    yc = np.where(empty, 0.5, (geometric_moment(zones, 0, 1) / safe) / (ZONE - 1))
+    feats = np.stack([m00 / (ZONE * ZONE), xc, yc], axis=-1)
+    return feats.reshape(lead + (FEATURE_LEN,))

@@ -396,6 +396,43 @@ class TestProtocolInput:
         finally:
             c.close()
 
+    def test_long_line_closes_connection(self, server):
+        c = client(server, timeout=5.0)
+        try:
+            try:
+                c.sock.sendall(b"A" * 2**20)  # 1 MB and no newline
+            except OSError:  # the server may close before it has all been sent
+                pass
+            assert c.rfile.readline().startswith(b"ERR toolong")
+            assert c.rfile.readline() == b""
+        finally:
+            c.close()
+        c = client(server, timeout=5.0)
+        try:
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()
+
+    def test_longest_legal_lines_parse(self, server):
+        gid = "x" * 64
+        c = client(server, timeout=5.0)
+        try:
+            # MAX_LINE bytes with CRLF: read to the end, then refused on n
+            line = f"CREATE {gid} {vcs.MAX_SHARES} {cas.MAX_KEY_LENGTH} {2**64 - 1}"
+            assert len(line) + 2 == cas.MAX_LINE
+            c.sock.sendall(line.replace(f" {vcs.MAX_SHARES} ", " 99 ").encode() + b"\r\n")
+            assert c.rfile.readline().startswith(b"ERR badscheme")
+            assert c.create(gid, 2, 4, 2**64 - 1) == f"OK {gid} 2"
+            share = pbm_payload(c.fetch(gid, 1)[1])
+            assert len(f"SUBMIT {gid} {vcs.MAX_SHARES} {cas.MAX_PAYLOAD}\r\n") < cas.MAX_LINE
+            assert c.submit(gid, 1, share) == "ACCEPTED 1"
+            # one byte over the bound, even with a newline, is refused
+            c.sock.sendall(b"AUTH " + b"x" * (cas.MAX_LINE - 5) + b"\n")
+            assert c.rfile.readline().startswith(b"ERR toolong")
+            assert c.rfile.readline() == b""
+        finally:
+            c.close()
+
     def test_oversized_submit_closes_connection(self, server):
         c = client(server, timeout=5.0)
         try:

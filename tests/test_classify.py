@@ -98,6 +98,58 @@ class TestClassify1nn:
             )
 
 
+def oracle_nearest(x, samples):
+    """Exhaustive scan: (index, distance) of the nearest sample under the tie
+    rule distance, then alphabet rank of the label, then training index."""
+    dists = [classify.euclidean_distance(x, s.features) for s in samples]
+    best = min(range(len(samples)),
+               key=lambda i: (dists[i], ALPHABET.index(samples[i].label), i))
+    return best, dists[best]
+
+
+class TestNearest:
+    def test_batch_matches_oracle_per_row(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            n = int(rng.integers(1, 20))
+            feats = [rng.random(48) for _ in range(n)]
+            for _ in range(int(rng.integers(0, n))):  # force ties: duplicate rows
+                feats[int(rng.integers(n))] = feats[int(rng.integers(n))].copy()
+            labels = rng.choice(list("0Z9AK3"), n)  # few labels, so ties mix them
+            samples = tuple(sample(lbl, f, f"s{i}")
+                            for i, (lbl, f) in enumerate(zip(labels, feats)))
+            m = Model(samples)
+            k = int(rng.integers(1, 10))
+            X = np.stack([feats[int(rng.integers(n))] if rng.random() < 0.5 else rng.random(48)
+                          for _ in range(k)])
+            idx, dists = classify.nearest(X, m)
+            assert idx.shape == dists.shape == (k,)
+            for x, i, d in zip(X, idx, dists):
+                assert (int(i), float(d)) == oracle_nearest(x, samples)
+
+    def test_equidistant_mixed_labels(self):
+        base = np.full(48, 0.5)
+        # every sample is exactly 0.25 * sqrt(48) from base: a four-way tie
+        samples = (sample("K", base + 0.25), sample("7", base - 0.25),
+                   sample("A", base + 0.25), sample("7", base - 0.25, "7_f1"))
+        idx, dists = classify.nearest(np.stack([base, base + 0.25]), Model(samples))
+        assert list(idx) == [1, 2]
+        assert dists[0] == classify.euclidean_distance(base, samples[1].features)
+        assert dists[1] == 0.0
+
+    def test_no_rows(self, model):
+        idx, dists = classify.nearest(np.zeros((0, 48)), model)
+        assert idx.shape == dists.shape == (0,)
+
+    def test_empty_model(self):
+        with pytest.raises(ValueError):
+            classify.nearest(np.zeros((1, 48)), Model(()))
+
+    def test_rows_required(self, model):
+        with pytest.raises(ValueError):
+            classify.nearest(np.zeros(48), model)
+
+
 class TestLabeledSample:
     def test_bad_label(self):
         with pytest.raises(ValueError):
