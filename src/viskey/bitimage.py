@@ -47,15 +47,6 @@ class BitImage:
     def width(self):
         return self.a.shape[1]
 
-    @property
-    def pixels(self):
-        """Row-major flat bit sequence, length width*height."""
-        return self.a.reshape(-1)
-
-    @classmethod
-    def blank(cls, width, height):
-        return cls(np.zeros((height, width), dtype=np.uint8))
-
     def __eq__(self, other):
         if not isinstance(other, BitImage):
             return NotImplemented
@@ -211,15 +202,6 @@ def or_merge(images) -> BitImage:
             )
         acc |= img.a
     return BitImage(acc)
-
-
-def projection(img: BitImage, axis: str):
-    """Black-pixel counts per row ('rows') or per column ('columns')."""
-    if axis == "rows":
-        return [int(v) for v in img.a.sum(axis=1)]
-    if axis == "columns":
-        return [int(v) for v in img.a.sum(axis=0)]
-    raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
 
 
 def crop(img: BitImage, r: Rect) -> BitImage:

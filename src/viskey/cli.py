@@ -24,6 +24,16 @@ def _write(path, img, variant):
     Path(path).write_bytes(write_pbm(img, variant))
 
 
+def _glyph_features(path):
+    """The 48 features of the one glyph in a PBM file; ValueError if the
+    image holds another number of glyphs."""
+    img = _read(path)
+    boxes = segment(img)
+    if len(boxes) != 1:
+        raise ValueError(f"expected 1 glyph, found {len(boxes)}")
+    return extract_features(normalize_glyph(img, boxes[0]))
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="viskey")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -161,13 +171,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "features":
-        img = _read(args.image)
-        boxes = segment(img)
-        if len(boxes) != 1:
-            print(f"error: expected 1 glyph, found {len(boxes)}", file=sys.stderr)
-            return 1
-        feats = extract_features(normalize_glyph(img, boxes[0]))
-        print(",".join(f"{v:.6f}" for v in feats))
+        print(",".join(f"{v:.6f}" for v in _glyph_features(args.image)))
         return 0
 
     if cmd == "train":
@@ -178,14 +182,7 @@ def _run(args) -> int:
 
     if cmd == "classify":
         model = classify.load_model(args.model)
-        img = _read(args.image)
-        boxes = segment(img)
-        if len(boxes) != 1:
-            print(f"error: expected 1 glyph, found {len(boxes)}", file=sys.stderr)
-            return 1
-        label, dist = classify.classify_1nn(
-            extract_features(normalize_glyph(img, boxes[0])), model
-        )
+        label, dist = classify.classify_1nn(_glyph_features(args.image), model)
         print(f"{label} {dist:.6f}")
         return 0
 

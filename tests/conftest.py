@@ -12,6 +12,11 @@ def bits(text):
     return BitImage(np.array(grid, dtype=np.uint8))
 
 
+def blank(w, h):
+    """An all-white w x h image."""
+    return BitImage(np.zeros((h, w), dtype=np.uint8))
+
+
 def random_image(rng, w, h, density=0.5):
     return BitImage((rng.random((h, w)) < density).astype(np.uint8))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, random_image
+from conftest import bits, blank, random_image
 from viskey.bitimage import (
     BitImage,
     DimensionError,
@@ -13,7 +13,6 @@ from viskey.bitimage import (
     crop,
     downsample_majority,
     or_merge,
-    projection,
     read_pbm,
     scale_nn,
     write_pbm,
@@ -96,12 +95,6 @@ class TestBitImage:
     def test_basic_properties(self):
         img = bits("10\n01")
         assert (img.width, img.height) == (2, 2)
-        assert list(img.pixels) == [1, 0, 0, 1]
-
-    def test_blank(self):
-        img = BitImage.blank(3, 2)
-        assert (img.width, img.height) == (3, 2)
-        assert img.a.sum() == 0
 
     def test_immutable(self):
         img = bits("10")
@@ -237,7 +230,7 @@ class TestWritePbm:
 class TestOrMerge:
     def test_identity_with_white(self):
         img = bits("10\n01")
-        assert or_merge([img, BitImage.blank(2, 2)]) == img
+        assert or_merge([img, blank(2, 2)]) == img
 
     def test_fig4_blocks(self):
         assert or_merge([bits("10"), bits("01")]) == bits("11")
@@ -265,28 +258,6 @@ class TestOrMerge:
         a, b, c = (random_image(rng, w, h) for _ in range(3))
         assert or_merge([a, b]) == or_merge([b, a])
         assert or_merge([or_merge([a, b]), c]) == or_merge([a, or_merge([b, c])])
-
-
-class TestProjection:
-    def test_all_white(self):
-        assert projection(BitImage.blank(5, 3), "rows") == [0, 0, 0]
-
-    def test_example(self):
-        img = bits("10\n01")
-        assert projection(img, "rows") == [1, 1]
-        assert projection(img, "columns") == [1, 1]
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            projection(bits("1"), "diag")
-
-    def test_counting_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            img = random_image(rng, int(rng.integers(1, 20)), int(rng.integers(1, 20)))
-            total = int(img.a.sum())
-            assert sum(projection(img, "rows")) == total
-            assert sum(projection(img, "columns")) == total
 
 
 class TestCrop:

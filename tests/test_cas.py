@@ -7,8 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import blank
 from viskey import cas, denoise, vcs
-from viskey.bitimage import BitImage, read_pbm, write_pbm
+from viskey.bitimage import read_pbm, write_pbm
 from viskey.ocr import segment
 
 
@@ -91,7 +92,7 @@ class TestCreateGroup:
     def test_payload_bound_is_largest_share(self):
         p = vcs.scheme_params(vcs.MAX_SHARES)
         secret = cas.render_key_image("W" * cas.MAX_KEY_LENGTH)
-        share = BitImage.blank(secret.width * p.block_w, secret.height * p.block_h)
+        share = blank(secret.width * p.block_w, secret.height * p.block_h)
         assert (share.width, share.height) == (6336, 360)
         assert len(write_pbm(share, "P4")) == cas.MAX_PAYLOAD == 285_132
 
@@ -122,7 +123,7 @@ class TestAuthenticate:
 
     def test_dimension_mismatch(self, model):
         rec = cas.create_group("g", 2, 4, 32)
-        rec.submissions = {1: rec.shares[0], 2: BitImage.blank(8, 8)}
+        rec.submissions = {1: rec.shares[0], 2: blank(8, 8)}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.DIMENSION_MISMATCH)
 
@@ -165,10 +166,10 @@ class TestRecordPersistence:
         elif damage == "wrong-m":
             record_txt = record_txt.replace("2ofn 3 9 6 2 3", "2ofn 3 9 8 2 4")
         elif damage == "share-size":
-            (gdir / "share_2.pbm").write_bytes(write_pbm(BitImage.blank(w + 3, h), "P4"))
+            (gdir / "share_2.pbm").write_bytes(write_pbm(blank(w + 3, h), "P4"))
         else:
             for i in range(1, 10):
-                (gdir / f"share_{i}.pbm").write_bytes(write_pbm(BitImage.blank(w + 1, h), "P4"))
+                (gdir / f"share_{i}.pbm").write_bytes(write_pbm(blank(w + 1, h), "P4"))
         (gdir / "record.txt").write_text(record_txt)
         with pytest.raises(ValueError):
             cas.load_record("grp", tmp_path)
@@ -189,6 +190,119 @@ class TestRecordPersistence:
         loaded = cas.load_record("old", tmp_path)
         assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [2, 5])
         assert cas.authenticate(loaded, model) == cas.AuthDecision(cas.GRANTED)
+
+
+def _fail_after(k):
+    """A Path.write_bytes that writes only the first k bytes, then fails as a
+    process killed mid-write would leave it."""
+    def write_bytes(path, data):
+        with open(path, "wb") as f:
+            f.write(data[:k])
+        raise OSError("simulated crash mid-write")
+    return write_bytes
+
+
+def _raise_oserror(*args, **kwargs):
+    raise OSError("simulated crash")
+
+
+class TestCrashConsistency:
+    def _saved_group(self, state_dir):
+        rec = cas.create_group("grp", 9, 4, 43)
+        rec.issued = [1, 2]
+        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
+        rec.status = cas.GRANTED
+        cas.save_record(rec, state_dir)
+        cas.save_submission(rec, 1, state_dir)
+        cas.save_submission(rec, 2, state_dir)
+        return rec
+
+    @pytest.mark.parametrize("k", [0, 1, 40, 72])
+    @pytest.mark.parametrize("write", ["record", "submission"])
+    def test_torn_write_keeps_old_record(self, tmp_path, model, monkeypatch, k, write):
+        rec = self._saved_group(tmp_path)
+        monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(k))
+        with pytest.raises(OSError, match="simulated"):
+            if write == "record":
+                rec.issued.append(3)
+                rec.status = cas.PENDING
+                cas.save_record(rec, tmp_path)
+            else:
+                rec.submissions[2] = rec.shares[8]
+                cas.save_submission(rec, 2, tmp_path)
+        monkeypatch.undo()
+        loaded = cas.CasState(tmp_path, model).get("grp")
+        assert loaded is not None
+        assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [1, 2])
+        assert loaded.status == cas.GRANTED
+        assert loaded.submissions == {1: rec.shares[0], 2: rec.shares[1]}
+
+    def test_crash_during_reset_keeps_group(self, tmp_path, model, monkeypatch):
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.create("g", 2, 4, 7) == "OK g 2"
+                for m in (1, 2):
+                    assert c.submit("g", m, pbm_payload(c.fetch("g", m)[1])) == f"ACCEPTED {m}"
+                unlink = cas.Path.unlink
+
+                def unlink_once(path, missing_ok=False):  # then the process dies
+                    monkeypatch.setattr(cas.Path, "unlink", _raise_oserror)
+                    unlink(path, missing_ok)
+
+                monkeypatch.setattr(cas.Path, "unlink", unlink_once)
+                assert c.reset("g").startswith("ERR internal")
+            finally:
+                c.close()
+        monkeypatch.undo()
+        loaded = cas.CasState(state_dir, model).get("g")
+        assert loaded is not None
+        assert (loaded.status, loaded.submissions) == (cas.PENDING, {})
+
+    def test_torn_record_falls_back_or_fails(self, tmp_path):
+        rec = cas.create_group("grp", 9, 4, 44)
+        cas.save_record(rec, tmp_path)  # version 0, in record.txt
+        path = tmp_path / "grp" / "record.txt"
+        full = path.read_bytes()
+        assert full.endswith(b"\nversion 0\nstatus Pending\n")
+        # the only version: every proper prefix but the one that lacks just
+        # the final newline fails to load
+        for k in range(len(full)):
+            path.write_bytes(full[:k])
+            if k == len(full) - 1:
+                assert cas.load_record("grp", tmp_path).status == cas.PENDING
+            else:
+                with pytest.raises((KeyError, ValueError)):
+                    cas.load_record("grp", tmp_path)
+        path.write_bytes(full)
+        rec.issued, rec.status = [4], cas.DENIED
+        cas.save_record(rec, tmp_path)  # version 1, in record.1.txt
+        newer = tmp_path / "grp" / "record.1.txt"
+        full = newer.read_bytes()
+        # with version 1 torn, version 0 loads whole
+        for k in range(len(full) - 1):
+            newer.write_bytes(full[:k])
+            loaded = cas.load_record("grp", tmp_path)
+            assert (loaded.issued, loaded.status, loaded.version) == ([], cas.PENDING, 1)
+        newer.write_bytes(full)
+        loaded = cas.load_record("grp", tmp_path)
+        assert (loaded.issued, loaded.status, loaded.version) == ([4], cas.DENIED, 2)
+
+    @pytest.mark.parametrize("line,value", [
+        ("status", "Gran"), ("status", ""), ("issued", "1 1"), ("issued", "0"),
+        ("submitted", "2 10"), ("submitted", "1 1"),
+    ])
+    def test_bad_status_or_members_rejected(self, tmp_path, line, value):
+        rec = cas.create_group("grp", 9, 4, 45)
+        rec.issued = [1, 2]
+        cas.save_record(rec, tmp_path)
+        path = tmp_path / "grp" / "record.txt"
+        lines = [f"{line} {value}" if ln.partition(" ")[0] == line else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            cas.load_record("grp", tmp_path)
 
 
 @contextlib.contextmanager
@@ -216,6 +330,15 @@ def client(srv, timeout=30.0):
 def server(tmp_path, model):
     with serving(tmp_path / "state", model) as srv:
         yield srv
+
+
+def wait_until(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def pbm_payload(payload):
@@ -432,6 +555,28 @@ class TestProtocolInput:
             assert c.rfile.readline() == b""
         finally:
             c.close()
+
+    @pytest.mark.parametrize("sent", [b"", b"SUBMIT g 1 100\n" + bytes(10)],
+                             ids=["idle", "mid-payload"])
+    def test_idle_connection_closed(self, tmp_path, model, monkeypatch, capsys, caplog, sent):
+        monkeypatch.setattr(cas._Handler, "timeout", 0.2)
+        with serving(tmp_path / "state", model) as srv:
+            threads = threading.active_count()
+            c = client(srv, timeout=5.0)
+            try:
+                c.sock.sendall(sent)
+                assert wait_until(lambda: threading.active_count() == threads + 1)
+                assert c.rfile.read() == b""  # closed, with no reply
+            finally:
+                c.close()
+            assert wait_until(lambda: threading.active_count() == threads)
+            c = client(srv, timeout=5.0)
+            try:
+                assert c.create("g", 2, 4, 1) == "OK g 2"
+            finally:
+                c.close()
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_oversized_submit_closes_connection(self, server):
         c = client(server, timeout=5.0)

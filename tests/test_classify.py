@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import bits
+from conftest import bits, blank
 from viskey import cas, classify, font, vcs
-from viskey.bitimage import BitImage, downsample_majority
+from viskey.bitimage import downsample_majority
 from viskey.classify import LabeledSample, Model
 from viskey.denoise import adaptive_filter
 from viskey.font import ALPHABET
@@ -261,7 +261,7 @@ class TestModelPersistence:
 
 class TestDecodeString:
     def test_all_white(self, model):
-        assert classify.decode_string(BitImage.blank(20, 20), model, vcs.scheme_params(2)) == ""
+        assert classify.decode_string(blank(20, 20), model, vcs.scheme_params(2)) == ""
 
     def test_end_to_end_a7k(self, model):
         p = vcs.scheme_params(2)

@@ -114,6 +114,15 @@ class TestPipelineStages:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["features"], ["classify", "--model", "model.txt"]],
+                             ids=["features", "classify"])
+    def test_two_glyph_image(self, capsys, tmp_path, model, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        classify.save_model(model, "model.txt")
+        run(capsys, "render", "AB", "--out", "ab.pbm")
+        code, out, err = run(capsys, argv[0], "ab.pbm", *argv[1:])
+        assert (code, out, err) == (1, "", "error: expected 1 glyph, found 2\n")
+
     def test_domain_error(self, capsys, tmp_path):
         key = tmp_path / "k.pbm"
         run(capsys, "render", "A", "--out", str(key))

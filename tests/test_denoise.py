@@ -200,8 +200,8 @@ class TestDamagedStackDecode:
         (2, 0.02, False): "f63f8b9a920c6e9a0d342229271416cae50621361fd0343a9df493ae7cd0213d",
         (9, 0.005, False): "8d1be7a2dae9d68b2848730f6539b7067d8be67aeca6fe2383fa65d728c450b2",
         (9, 0.02, False): "0511f082cb0d945abe89291b211eb662f91cdb84c3b9207e78e56da93e5e0739",
-        (21, 0.005, False): "bb825c8734273c24530f5f1569d6df65e55a03e59718952dc45889262525e571",
-        (21, 0.02, False): "5b8e40440f2d60b2d93148e4c162b9c7c460aa1baa99039564643153a53dc894",
+        (21, 0.005, False): "6b8fe2e760d7153b29d52495f985114c2f92a9fe8817d59740bdf5a85ba00aa1",
+        (21, 0.02, False): "404957cae157d0c8757f3c78bfbca1575ae0f06f1b9a096e41a5ad921b0625bb",
         (9, 0.02, True): "909419e9c0a86dfdfe8ac03f38c08e1e99b08dc6fdd4b8f336c9d8c2100b6be1",
     }
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, random_image
+from conftest import bits, blank, random_image
 from viskey import font
 from viskey.bitimage import BitImage, DimensionError, Rect, crop, scale_nn
 from viskey.ocr import (
@@ -68,7 +68,7 @@ def same_bits(x, y):
 
 class TestSegment:
     def test_all_white(self):
-        assert segment(BitImage.blank(8, 8)) == []
+        assert segment(blank(8, 8)) == []
 
     def test_two_rectangles(self):
         a = np.zeros((10, 12), dtype=np.uint8)

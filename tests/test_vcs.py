@@ -4,9 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_image
+from conftest import blank, random_image
 from viskey import vcs
-from viskey.bitimage import BitImage
 
 # Frozen fixture: s1 of the t=3 scheme in surviving-column order,
 # rows v1..v9 over blocks B1..B6.
@@ -70,22 +69,38 @@ def brute_force_min_idempotent_order3():
     return tuple(tuple(best[3 * i : 3 * i + 3]) for i in range(3))
 
 
+# every order the supported share counts use: t = 3 .. MAX_SHARES / 3
+ORDERS = range(3, vcs.MAX_SHARES // 3 + 1)
+
+
+def is_idempotent_latin_square(square):
+    """Every row and every column holds 1..t once, and cell (i, i) holds i + 1."""
+    t = len(square)
+    full = set(range(1, t + 1))
+    rows_ok = all(set(row) == full for row in square.tolist())
+    cols_ok = all(set(col) == full for col in square.T.tolist())
+    diag_ok = all(square[i, i] == i + 1 for i in range(t))
+    return rows_ok and cols_ok and diag_ok
+
+
 class TestIdempotentLatinSquare:
     def test_t3_fixture(self):
         ls = vcs.idempotent_latin_square(3)
-        assert ls.cells == ((1, 3, 2), (3, 2, 1), (2, 1, 3))
+        assert ls.tolist() == [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
 
     def test_t3_matches_exhaustive_oracle(self):
-        assert vcs.idempotent_latin_square(3).cells == brute_force_min_idempotent_order3()
+        ls = vcs.idempotent_latin_square(3)
+        assert tuple(map(tuple, ls.tolist())) == brute_force_min_idempotent_order3()
 
-    @pytest.mark.parametrize("t", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("t", ORDERS)
     def test_invariants(self, t):
         ls = vcs.idempotent_latin_square(t)
-        assert ls.is_valid()
-        assert tuple(ls.cells[i][i] for i in range(t)) == tuple(range(1, t + 1))
+        assert ls.shape == (t, t)
+        assert is_idempotent_latin_square(ls)
+        assert tuple(ls.diagonal()) == tuple(range(1, t + 1))
 
     def test_deterministic(self):
-        assert vcs.idempotent_latin_square(5) == vcs.idempotent_latin_square(5)
+        assert np.array_equal(vcs.idempotent_latin_square(5), vcs.idempotent_latin_square(5))
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -101,7 +116,7 @@ class TestBasisMatrices:
         b = vcs.basis_matrices(3)
         assert np.array_equal(b.s0, np.tile([1, 1, 0, 0, 0, 0], (9, 1)))
 
-    @pytest.mark.parametrize("t", [3, 4, 5, 7])
+    @pytest.mark.parametrize("t", ORDERS)
     def test_row_weights(self, t):
         b = vcs.basis_matrices(t)
         n, m = 3 * t, t * (t - 1)
@@ -109,7 +124,7 @@ class TestBasisMatrices:
         assert np.all(b.s1.sum(axis=1) == t - 1)
         assert np.all(b.s0.sum(axis=1) == t - 1)
 
-    @pytest.mark.parametrize("t", [3, 4, 5, 7])
+    @pytest.mark.parametrize("t", ORDERS)
     def test_pairwise_or_weights(self, t):
         b = vcs.basis_matrices(t)
         for i, j in itertools.combinations(range(3 * t), 2):
@@ -117,7 +132,7 @@ class TestBasisMatrices:
             assert w1 in (2 * t - 3, 2 * (t - 1))
             assert int((b.s0[i] | b.s0[j]).sum()) == t - 1
 
-    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("t", ORDERS)
     def test_block_design_cooccurrence(self, t):
         # treatments from different thirds co-occur in exactly one block or
         # not at all; treatments within the same third never co-occur
@@ -177,12 +192,12 @@ class TestEncode:
         assert vcs.encode(secret, p, 42) != vcs.encode(secret, p, 43)
 
     # SHA-256 over every share's raster, in share order, for one fixed secret
-    # and seed: pins the output to the per-share encoder these digests were
-    # first taken from.
+    # and seed. For n >= 12 the digest also pins the Latin square of order
+    # n / 3: another valid square gives other shares.
     PINNED_DIGESTS = {
         2: "90dbe17a558665f35a594729971b9b20bbb9af7320c35638967fafd0e758018c",
         9: "96651b45cd6324abaef0d01515cb690e4d02b2eb2a8b5ef33090c145b7d59feb",
-        21: "5e44950178c5af8a7652f725e6dfa5499ec643030131701f356a74cb2d2e7220",
+        21: "f46efeb97002bf35908e79ab88c60c74579abb5a9e02550eed7763a4b41e393f",
     }
 
     @pytest.mark.parametrize("n", sorted(PINNED_DIGESTS))
@@ -213,23 +228,24 @@ class TestReconstruct:
         assert merged.a[0, 2:].sum() == 2  # black pixel fully black
         assert merged.a[0, :2].sum() == 1  # white pixel half black
 
-    def test_t3_stacked_weights_all_pairs(self):
+    @pytest.mark.parametrize("n", [3 * t for t in ORDERS])
+    def test_stacked_weights_all_pairs(self, n):
         from conftest import bits
 
-        p = vcs.scheme_params(9)
+        p = vcs.scheme_params(n)
         shares = vcs.encode(bits("01"), p, 11)
-        for i, j in itertools.combinations(range(9), 2):
+        for i, j in itertools.combinations(range(n), 2):
             merged = vcs.reconstruct([shares[i], shares[j]])
-            white = int(merged.a[:, :3].sum())
-            black = int(merged.a[:, 3:].sum())
-            assert white == 2
-            assert black in (3, 4)
+            white = int(merged.a[:, : p.block_w].sum())
+            black = int(merged.a[:, p.block_w :].sum())
+            assert white == p.t - 1
+            assert black in (2 * p.t - 3, 2 * p.t - 2)
 
 
 class TestSidecar:
     def test_roundtrip(self):
         p = vcs.scheme_params(9)
-        line = vcs.share_sidecar(p, BitImage.blank(40 * 3, 30 * 2), 4, "grp-7")
+        line = vcs.share_sidecar(p, blank(40 * 3, 30 * 2), 4, "grp-7")
         params, sw, sh, idx, gid = vcs.parse_sidecar(line)
         assert params == p and (sw, sh, idx, gid) == (40, 30, 4, "grp-7")
 
