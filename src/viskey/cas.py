@@ -121,6 +121,9 @@ MAX_LINE = len(f"CREATE {'x' * 64} {vcs.MAX_SHARES} {MAX_KEY_LENGTH} {2**64 - 1}
 # before the server closes it and frees its thread.
 IDLE_TIMEOUT = 60
 
+# Connections served at once, a thread each; one more gets `ERR busy`, then EOF.
+MAX_CONNECTIONS = 64
+
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     """Stack the submitted shares and compare the machine-read key."""
@@ -155,10 +158,14 @@ STATUSES = (PENDING, GRANTED, DENIED)
 
 
 def save_record(record: GroupRecord, state_dir) -> None:
-    """Write the group's next record version and any share file not yet on
-    disk. Submission files are written only by `save_submission`."""
+    """Write the group's next record version; the first save (version 0, from
+    `CREATE`) first makes the group directory and its share files. Submission
+    files are written only by `save_submission`."""
     gdir = Path(state_dir) / record.group_id
-    gdir.mkdir(parents=True, exist_ok=True)
+    if record.version == 0:  # shares first: a group with a record has its shares
+        gdir.mkdir(parents=True, exist_ok=True)
+        for i, share in enumerate(record.shares, start=1):
+            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(share, "P4"))
     lines = [
         f"key {record.key}",
         f"scheme {vcs.format_scheme(record.params)}",
@@ -169,10 +176,6 @@ def save_record(record: GroupRecord, state_dir) -> None:
     ]
     (gdir / RECORD_FILES[record.version % 2]).write_bytes(("\n".join(lines) + "\n").encode())
     record.version += 1
-    for i, share in enumerate(record.shares, start=1):
-        path = gdir / f"share_{i}.pbm"
-        if not path.exists():
-            path.write_bytes(write_pbm(share, "P4"))
 
 
 def save_submission(record: GroupRecord, member: int, state_dir) -> None:
@@ -357,13 +360,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 save_record(record, state.state_dir)
             return f"OK {gid} {n}", b""
 
+        record = state.get(gid)
+        if record is None:
+            raise ProtocolError("unknowngroup", f"no group {gid}")
+        if cmd in ("FETCH", "SUBMIT") and not (1 <= nums[0] <= record.params.n):
+            raise ProtocolError("unknownmember", f"member must be 1..{record.params.n}")
+
         if cmd == "FETCH":
             (member,) = nums
-            record = state.get(gid)
-            if record is None:
-                raise ProtocolError("unknowngroup", f"no group {gid}")
-            if not (1 <= member <= record.params.n):
-                raise ProtocolError("unknownmember", f"member must be 1..{record.params.n}")
             with state.lock_for(gid):
                 if member not in record.issued:
                     record.issued.append(member)
@@ -375,11 +379,6 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "SUBMIT":
             member = nums[0]
-            record = state.get(gid)
-            if record is None:
-                raise ProtocolError("unknowngroup", f"no group {gid}")
-            if not (1 <= member <= record.params.n):
-                raise ProtocolError("unknownmember", f"member must be 1..{record.params.n}")
             try:
                 img = read_pbm(data)
             except ValueError as e:
@@ -391,9 +390,6 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"ACCEPTED {count}", b""
 
         if cmd == "AUTH":
-            record = state.get(gid)
-            if record is None:
-                raise ProtocolError("unknowngroup", f"no group {gid}")
             with state.lock_for(gid):
                 decision = authenticate(record, state.model)
                 save_record(record, state.state_dir)
@@ -402,15 +398,12 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"DENIED {gid} {decision.reason}", b""
 
         # RESET, the one verb left
-        record = state.get(gid)
-        if record is None:
-            raise ProtocolError("unknowngroup", f"no group {gid}")
         with state.lock_for(gid):
             record.submissions.clear()
             record.status = PENDING
             # the record first: a crash between leaves unlisted files, not missing ones
             save_record(record, state.state_dir)
-            for p in (state.state_dir / gid).glob("submission_*.pbm"):
+            for p in (state.state_dir / gid).glob("submission_*"):  # *.tmp too
                 p.unlink()
         return "OK", b""
 
@@ -422,6 +415,25 @@ class CasServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, state: CasState):
         super().__init__(address, _Handler)
         self.cas_state = state
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            request.sendall(f"ERR busy server holds {MAX_CONNECTIONS} connections\n".encode())
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)  # starts the handler thread
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def finish_request(self, request, client_address):
+        # on the handler thread; the slot is free before the socket closes
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            self._slots.release()
 
 
 def serve(port: int, state_dir, model: Model, host="127.0.0.1"):

@@ -4,21 +4,21 @@ In a clean stack of two or more shares, the number of black subpixels in a
 block is one of a few legal weights, and the weight alone tells white from
 black (the contrast property of the scheme). A block with a legal count
 takes that colour. A block with any other count (noise) takes the majority,
-ties black, of the windowed filter's subpixels in that block.
+ties black, of the windowed filter evaluated at that block's subpixels only.
 
 Windowed filter: per pixel, the black ratio of a window clipped to the image
 is compared against two cutoffs: below the white cutoff the pixel becomes
 white, above the black cutoff it becomes black, and in between the window
 grows until the upper size limit; a pixel that is still undecided keeps its
-input value. All decisions read the input raster only, so visit order is
-irrelevant.
+input value. All decisions read the input raster only, so visit order and
+the set of pixels evaluated change no decision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitimage import BitImage, DimensionError, downsample_majority
+from .bitimage import BitImage, DimensionError
 from .vcs import SchemeParams
 
 # odd window sizes, grown by an even step so every window stays centred
@@ -36,15 +36,9 @@ def cutoffs(params: SchemeParams) -> tuple:
     return d_w + gap / 3, d_b - gap / 3
 
 
-def _window_counts(cum, i0, i1, j0, j1):
-    # cum is the zero-padded 2-d prefix sum; slices are half-open row/col
-    # bounds per pixel (arrays).
-    return cum[i1, j1] - cum[i0, j1] - cum[i1, j0] + cum[i0, j0]
-
-
 def decide_blocks(img: BitImage, params: SchemeParams) -> BitImage:
-    """One pixel per block (see the module docstring). The windowed pass runs
-    only if some block count is not a legal weight."""
+    """One pixel per block (see the module docstring). The windowed filter
+    runs only at the subpixels of blocks whose count is not a legal weight."""
     bh, bw = params.block_h, params.block_w
     h, w = img.a.shape
     if h % bh or w % bw:
@@ -56,8 +50,11 @@ def decide_blocks(img: BitImage, params: SchemeParams) -> BitImage:
     out = colour[counts]
     noise = out < 0
     if noise.any():
-        windowed = BitImage(_window_filter(img.a, *cutoffs(params)))
-        out[noise] = downsample_majority(windowed, bh, bw).a[noise]
+        bi, bj = np.nonzero(noise)
+        rows = (bi * bh)[:, None, None] + np.arange(bh)[:, None]  # (k, bh, 1)
+        cols = (bj * bw)[:, None, None] + np.arange(bw)  # (k, 1, bw)
+        windowed = _window_filter(img.a, *cutoffs(params), rows, cols)
+        out[noise] = 2 * windowed.sum(axis=(1, 2)) >= bh * bw  # ties black
     return BitImage(out)
 
 
@@ -67,22 +64,25 @@ def adaptive_filter(img: BitImage, params: SchemeParams) -> BitImage:
     return BitImage(np.repeat(np.repeat(out, params.block_h, axis=0), params.block_w, axis=1))
 
 
-def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float) -> np.ndarray:
-    """The windowed filter, vectorized over pixels, iterating window sizes
-    from INITIAL_WINDOW to MAX_WINDOW.
+def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float,
+                   rows=None, cols=None) -> np.ndarray:
+    """The windowed filter at pixels (rows, cols), index arrays that broadcast
+    together (every pixel if omitted); the output has their broadcast shape.
+    Window sizes grow from INITIAL_WINDOW to MAX_WINDOW.
 
     Comparisons are strict: a ratio strictly below the white cutoff decides
     white, strictly above the black cutoff decides black; a ratio exactly at
     a cutoff stays indecisive and the window keeps growing.
     """
     h, w = a.shape
+    if rows is None:
+        rows, cols = np.ogrid[:h, :w]
+    # zero-padded 2-d prefix sum: cum[i, j] counts the black pixels of a[:i, :j]
     cum = np.zeros((h + 1, w + 1), dtype=np.int64)
     np.cumsum(np.cumsum(a, axis=0), axis=1, out=cum[1:, 1:])
 
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    out = a.copy()
-    undecided = np.ones((h, w), dtype=bool)
+    out = a[rows, cols]
+    undecided = np.ones(out.shape, dtype=bool)
 
     win = INITIAL_WINDOW
     while True:
@@ -91,10 +91,8 @@ def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float) -> n
         i1 = np.minimum(rows + r + 1, h)
         j0 = np.maximum(cols - r, 0)
         j1 = np.minimum(cols + r + 1, w)
-        area = (i1 - i0) * (j1 - j0)
-        black = _window_counts(cum, np.broadcast_to(i0, (h, w)), np.broadcast_to(i1, (h, w)),
-                               np.broadcast_to(j0, (h, w)), np.broadcast_to(j1, (h, w)))
-        ratio = black / area
+        black = cum[i1, j1] - cum[i0, j1] - cum[i1, j0] + cum[i0, j0]
+        ratio = black / ((i1 - i0) * (j1 - j0))
         white_now = undecided & (ratio < white_cutoff)
         black_now = undecided & (ratio > black_cutoff)
         out[white_now] = 0

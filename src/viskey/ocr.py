@@ -24,29 +24,18 @@ def segment(img: BitImage):
     nonzero column runs become glyphs, each tightened to its own row extent.
     Runs narrower than MIN_GLYPH_WIDTH columns are discarded.
     """
-    row_counts = img.a.sum(axis=1)
-    nonzero_rows = np.flatnonzero(row_counts)
+    nonzero_rows = np.flatnonzero(img.a.any(axis=1))
     if nonzero_rows.size == 0:
         return []
     band_top, band_bottom = int(nonzero_rows[0]), int(nonzero_rows[-1])
     band = img.a[band_top : band_bottom + 1]
-    col_counts = band.sum(axis=0)
-
+    # a run starts and ends where the padded filled-column mask changes
+    edges = np.flatnonzero(np.diff(np.pad(band.any(axis=0), 1)))
     boxes = []
-    in_run = False
-    start = 0
-    for j in range(len(col_counts) + 1):
-        filled = j < len(col_counts) and col_counts[j] > 0
-        if filled and not in_run:
-            in_run, start = True, j
-        elif not filled and in_run:
-            in_run = False
-            if j - start >= MIN_GLYPH_WIDTH:
-                sub = band[:, start:j]
-                rows = np.flatnonzero(sub.sum(axis=1))
-                boxes.append(
-                    Rect(band_top + int(rows[0]), band_top + int(rows[-1]), start, j - 1)
-                )
+    for start, stop in edges.reshape(-1, 2).tolist():
+        if stop - start >= MIN_GLYPH_WIDTH:
+            rows = np.flatnonzero(band[:, start:stop].any(axis=1))
+            boxes.append(Rect(band_top + int(rows[0]), band_top + int(rows[-1]), start, stop - 1))
     return boxes
 
 

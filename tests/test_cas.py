@@ -1,5 +1,6 @@
 import contextlib
 import logging
+import socket
 import threading
 import time
 from collections import Counter
@@ -109,7 +110,7 @@ class TestAuthenticate:
         def no_window(*args):
             raise AssertionError("window pass ran")
 
-        monkeypatch.setattr(denoise, "_window_counts", no_window)
+        monkeypatch.setattr(denoise, "_window_filter", no_window)
         rec = cas.create_group("g", 9, 5, 35)
         rec.submissions = {i: rec.shares[i - 1] for i in (1, 2, 3)}
         d = cas.authenticate(rec, model)
@@ -152,6 +153,29 @@ class TestRecordPersistence:
         assert loaded.issued == [1, 3]
         assert set(loaded.submissions) == {1, 3}
         assert loaded.submissions[1] == rec.shares[0]
+
+    def test_later_saves_write_only_the_record(self, tmp_path, monkeypatch):
+        rec = cas.create_group("grp", 9, 4, 46)
+        cas.save_record(rec, tmp_path)  # CREATE's save writes the shares
+        assert sorted(p.name for p in (tmp_path / "grp").iterdir()) == sorted(
+            ["record.txt"] + [f"share_{i}.pbm" for i in range(1, 10)])
+        calls = []
+
+        def spy(name):
+            real = getattr(cas.Path, name)
+
+            def wrapper(path, *args, **kwargs):
+                calls.append((name, path.name))
+                return real(path, *args, **kwargs)
+            return wrapper
+
+        for name in ("exists", "mkdir", "write_bytes"):
+            monkeypatch.setattr(cas.Path, name, spy(name))
+        rec.issued.append(4)
+        cas.save_record(rec, tmp_path)
+        assert calls == [("write_bytes", "record.1.txt")]
+        monkeypatch.undo()
+        assert cas.load_record("grp", tmp_path).shares == rec.shares
 
     @pytest.mark.parametrize("damage", ["swapped-block", "wrong-m", "share-size", "untiled"])
     def test_inconsistent_record_rejected(self, tmp_path, damage):
@@ -259,6 +283,27 @@ class TestCrashConsistency:
         loaded = cas.CasState(state_dir, model).get("g")
         assert loaded is not None
         assert (loaded.status, loaded.submissions) == (cas.PENDING, {})
+
+    def test_reset_removes_torn_submission(self, tmp_path, model, monkeypatch):
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.create("g", 2, 4, 8) == "OK g 2"
+                share = pbm_payload(c.fetch("g", 1)[1])
+                monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(10))
+                assert c.submit("g", 1, share).startswith("ERR internal")
+            finally:
+                c.close()
+            monkeypatch.undo()
+            gdir = state_dir / "g"
+            assert [p.name for p in gdir.glob("submission_*")] == ["submission_1.pbm.tmp"]
+            c = client(srv)
+            try:
+                assert c.reset("g") == "OK"
+            finally:
+                c.close()
+            assert list(gdir.glob("submission_*")) == []
 
     def test_torn_record_falls_back_or_fails(self, tmp_path):
         rec = cas.create_group("grp", 9, 4, 44)
@@ -577,6 +622,28 @@ class TestProtocolInput:
                 c.close()
         assert "Traceback" not in capsys.readouterr().err
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_connection_cap(self, tmp_path, model, monkeypatch):
+        monkeypatch.setattr(cas, "MAX_CONNECTIONS", 2)
+        with serving(tmp_path / "state", model) as srv:
+            held = [client(srv, timeout=5.0) for _ in range(2)]
+            try:
+                for c in held:  # a reply means the connection holds a slot
+                    assert c.auth("nope").startswith("ERR unknowngroup")
+                extra = client(srv, timeout=5.0)
+                try:
+                    assert extra.rfile.readline().startswith(b"ERR busy")
+                    assert extra.rfile.readline() == b""
+                finally:
+                    extra.close()
+                held[0].sock.shutdown(socket.SHUT_WR)
+                assert held[0].rfile.read() == b""  # the server closed it: its slot is free
+                held[0].close()
+                held[0] = client(srv, timeout=5.0)
+                assert held[0].create("g", 2, 4, 1) == "OK g 2"
+            finally:
+                for c in held:
+                    c.close()
 
     def test_oversized_submit_closes_connection(self, server):
         c = client(server, timeout=5.0)

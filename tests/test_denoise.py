@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bits, random_image
 from viskey import denoise, vcs
@@ -108,6 +110,25 @@ class TestAdaptiveFilter:
             out_hi = denoise._window_filter(a, 0.5, 0.7)
             assert not np.any((out_lo == 0) & (out_hi == 1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_coordinates_match_all_pixels(self, data):
+        h, w = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        a = random_image(rng, w, h, density=data.draw(st.floats(0, 1))).a
+        lo = data.draw(st.floats(0, 1))
+        hi = data.draw(st.floats(lo, 1))
+        full = denoise._window_filter(a, lo, hi)
+        k = data.draw(st.integers(0, 12))
+        rows = np.array(data.draw(st.lists(st.integers(0, h - 1), min_size=k, max_size=k)),
+                        dtype=np.intp)
+        cols = np.array(data.draw(st.lists(st.integers(0, w - 1), min_size=k, max_size=k)),
+                        dtype=np.intp)
+        if data.draw(st.booleans()):  # an outer grid instead of k pairs
+            rows, cols = rows[:, None], cols[None, :]
+        got = denoise._window_filter(a, lo, hi, rows, cols)
+        assert np.array_equal(got, full[rows, cols])
+
     def test_pure_function(self):
         rng = np.random.default_rng(29)
         img = random_image(rng, 20, 20)
@@ -135,7 +156,7 @@ class TestBlockMode:
         def no_window(*args):
             raise AssertionError("window pass ran")
 
-        monkeypatch.setattr(denoise, "_window_counts", no_window)
+        monkeypatch.setattr(denoise, "_window_filter", no_window)
         p = vcs.scheme_params(9)
         secret = random_image(np.random.default_rng(37), 16, 8)
         shares = vcs.encode(secret, p, 41)
@@ -153,18 +174,37 @@ class TestBlockMode:
         a[5, 0:2] = 0
         calls = []
 
-        def windowed(arr, lo, hi):
-            calls.append((lo, hi))
-            out = np.ones_like(arr)
-            out[5, 0] = 0
-            return out
+        def windowed(arr, lo, hi, rows, cols):
+            rows, cols = np.broadcast_arrays(rows, cols)
+            calls.append((lo, hi, sorted(zip(rows.ravel().tolist(), cols.ravel().tolist()))))
+            return ((rows != 5) | (cols != 0)).astype(np.uint8)
 
         monkeypatch.setattr(denoise, "_window_filter", windowed)
         expected = np.zeros((6, 5), dtype=np.uint8)
         expected[3, 2] = expected[5, 0] = 1
         assert np.array_equal(decide_blocks(BitImage(a), p).a, expected)
-        assert calls == [cutoffs(p)]
+        # asked once, for the planted blocks' subpixels only
+        assert calls == [(*cutoffs(p), [(3, 4), (3, 5), (5, 0), (5, 1)])]
         assert np.array_equal(adaptive_filter(BitImage(a), p).a, np.repeat(expected, 2, axis=1))
+
+    @pytest.mark.parametrize("n", [2] + list(range(9, vcs.MAX_SHARES + 1, 3)))
+    def test_noise_blocks_match_full_image_filter(self, n):
+        # the windowed filter run over the whole image, then a majority per
+        # block, as the decode did before it evaluated noise blocks only
+        p = vcs.scheme_params(n)
+        bh, bw = p.block_h, p.block_w
+        rng = np.random.default_rng([n, 47])
+        for trial in range(3):
+            secret = random_image(rng, 6, 4)
+            a = vcs.reconstruct(list(vcs.encode(secret, p, 950 + trial)[:2])).a.copy()
+            a ^= (rng.random(a.shape) < 0.02).astype(np.uint8)
+            a[:bh, :bw] = 0  # no legal weight is 0: one sure noise block
+            h, w = a.shape
+            counts = a.reshape(h // bh, bh, w // bw, bw).sum(axis=(1, 3))
+            noise = ~np.isin(counts, p.white + p.black)
+            assert noise.any()
+            full = downsample_majority(BitImage(denoise._window_filter(a, *cutoffs(p))), bh, bw)
+            assert np.array_equal(decide_blocks(BitImage(a), p).a[noise], full.a[noise])
 
     @pytest.mark.parametrize("n,h,w", [(2, 9, 9), (2, 3, 3), (9, 8, 10), (9, 7, 9)])
     def test_untiled_image_raises(self, n, h, w):

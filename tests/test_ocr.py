@@ -9,6 +9,7 @@ from viskey.bitimage import BitImage, DimensionError, Rect, crop, scale_nn
 from viskey.ocr import (
     FEATURE_LEN,
     GLYPH_SIZE,
+    MIN_GLYPH_WIDTH,
     ZONE,
     extract_features,
     geometric_moment,
@@ -46,6 +47,32 @@ def reference_features(a):
             feats[k : k + 3] = (density, xc, yc)
             k += 3
     return feats
+
+
+def reference_segment(img):
+    """The column-by-column loop `segment` used before it found runs from
+    column edges, kept as its oracle."""
+    nonzero_rows = np.flatnonzero(img.a.sum(axis=1))
+    if nonzero_rows.size == 0:
+        return []
+    band_top, band_bottom = int(nonzero_rows[0]), int(nonzero_rows[-1])
+    band = img.a[band_top : band_bottom + 1]
+    col_counts = band.sum(axis=0)
+    boxes = []
+    in_run = False
+    start = 0
+    for j in range(len(col_counts) + 1):
+        filled = j < len(col_counts) and col_counts[j] > 0
+        if filled and not in_run:
+            in_run, start = True, j
+        elif not filled and in_run:
+            in_run = False
+            if j - start >= MIN_GLYPH_WIDTH:
+                rows = np.flatnonzero(band[:, start:j].sum(axis=1))
+                boxes.append(
+                    Rect(band_top + int(rows[0]), band_top + int(rows[-1]), start, j - 1)
+                )
+    return boxes
 
 
 def bitmaps():
@@ -100,6 +127,19 @@ class TestSegment:
         a = np.zeros((5, 6), dtype=np.uint8)
         a[1:4, 2:4] = 1
         assert segment(BitImage(a)) == [Rect(1, 3, 2, 3)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        # sparse columns so runs of every width, specks and gaps all occur
+        h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        cols = rng.random(w) < data.draw(st.floats(0, 1))
+        img = BitImage(((rng.random((h, w)) < data.draw(st.floats(0, 1))) & cols)
+                       .astype(np.uint8))
+        got = segment(img)
+        assert got == reference_segment(img)
+        assert all(type(v) is int for box in got for v in vars(box).values())
 
 
 class TestNormalizeGlyph:
