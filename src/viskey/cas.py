@@ -56,11 +56,26 @@ class GroupRecord:
     group_id: str
     key: str
     params: vcs.SchemeParams
-    shares: tuple  # n share BitImages, index 0 is member 1
+    shares: tuple  # n canonical P4 files (`write_pbm(share, "P4")`), index 0 is member 1
     issued: list = field(default_factory=list)  # member indices fetched so far
     submissions: dict = field(default_factory=dict)  # member index -> BitImage
     status: str = PENDING
     version: int = 0  # of the next save_record, which picks its record file
+
+    @property
+    def shape(self) -> tuple:
+        """(height, width) of every share, from the first share's header."""
+        return _p4_shape(self.shares[0])
+
+    def share(self, member: int) -> BitImage:
+        """Member `member`'s share (1-based), unpacked."""
+        return read_pbm(self.shares[member - 1])
+
+
+def _p4_shape(data: bytes) -> tuple:
+    """(height, width) from the header of a canonical P4 file, `P4\\n<w> <h>\\n`."""
+    w, h = data.split(b"\n", 2)[1].split()
+    return int(h), int(w)
 
 
 def generate_key(length: int, seed: int) -> str:
@@ -91,7 +106,7 @@ def render_key_image(key: str, font_id: str = DEFAULT_FONT,
 
 
 def create_group(group_id: str, n: int, key_length: int, seed: int) -> GroupRecord:
-    """Generate a key, render it, split it into n shares."""
+    """Generate a key, render it, split it into n shares held as P4 files."""
     params = vcs.scheme_params(n)
     if key_length > MAX_KEY_LENGTH:
         raise ValueError(f"key length must be at most {MAX_KEY_LENGTH}, got {key_length}")
@@ -99,7 +114,7 @@ def create_group(group_id: str, n: int, key_length: int, seed: int) -> GroupReco
     key = generate_key(key_length, rng_seeds[0].generate_state(1)[0])
     secret = render_key_image(key)
     shares = vcs.encode(secret, params, int(rng_seeds[1].generate_state(1)[0]))
-    return GroupRecord(group_id, key, params, shares)
+    return GroupRecord(group_id, key, params, tuple(write_pbm(s, "P4") for s in shares))
 
 
 def _max_payload() -> int:
@@ -131,7 +146,7 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     if len(subs) < 2:
         record.status = DENIED
         return AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    if any(img.a.shape != record.shares[0].a.shape for img in subs.values()):
+    if any(img.a.shape != record.shape for img in subs.values()):
         record.status = DENIED
         return AuthDecision(DENIED, DIMENSION_MISMATCH)
     merged = vcs.reconstruct(list(subs.values()))
@@ -165,7 +180,7 @@ def save_record(record: GroupRecord, state_dir) -> None:
     if record.version == 0:  # shares first: a group with a record has its shares
         gdir.mkdir(parents=True, exist_ok=True)
         for i, share in enumerate(record.shares, start=1):
-            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(share, "P4"))
+            (gdir / f"share_{i}.pbm").write_bytes(share)
     lines = [
         f"key {record.key}",
         f"scheme {vcs.format_scheme(record.params)}",
@@ -218,11 +233,12 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
         raise ValueError(f"unknown status {fields['status']!r}")
     fields = max(whole, key=lambda f: int(f.get("version", 0)))
     params = vcs.parse_scheme(fields["scheme"].split())
-    shares = tuple(
-        read_pbm((gdir / f"share_{i}.pbm").read_bytes()) for i in range(1, params.n + 1)
-    )
-    h, w = shares[0].a.shape
-    if any(s.a.shape != (h, w) for s in shares) or h % params.block_h or w % params.block_w:
+    # any PBM read_pbm accepts, held in the canonical form save_record writes
+    shares = tuple(write_pbm(read_pbm((gdir / f"share_{i}.pbm").read_bytes()), "P4")
+                   for i in range(1, params.n + 1))
+    h, w = _p4_shape(shares[0])
+    if (any(_p4_shape(s) != (h, w) for s in shares)
+            or h % params.block_h or w % params.block_w):
         raise ValueError(f"shares differ in size or do not tile into {params.m}-subpixel blocks")
     record = GroupRecord(group_id, fields["key"], params, shares,
                          issued=_members(fields, "issued", params.n), status=fields["status"],
@@ -372,9 +388,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 if member not in record.issued:
                     record.issued.append(member)
                     save_record(record, state.state_dir)
-                share = record.shares[member - 1]
-                payload = (write_pbm(share, "P4")
-                           + vcs.share_sidecar(record.params, share, member, gid).encode())
+                payload = (record.shares[member - 1]
+                           + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
             return f"SHARE {gid} {member} {len(payload)}", payload
 
         if cmd == "SUBMIT":

@@ -146,7 +146,7 @@ def _run(args) -> int:
         for i, share in enumerate(vcs.encode(secret, params, args.seed), start=1):
             _write(f"{args.out_prefix}_{i}.pbm", share, "P4")
             Path(f"{args.out_prefix}_{i}.txt").write_text(
-                vcs.share_sidecar(params, share, i, args.group_id)
+                vcs.share_sidecar(params, share.a.shape, i, args.group_id)
             )
         print(f"wrote {params.n} shares to {args.out_prefix}_*.pbm")
         return 0
@@ -226,11 +226,12 @@ def _demo(args) -> int:
     print(f"scheme: n={params.n} m={params.m} block={params.block_h}x{params.block_w}")
     record = cas.create_group("demo", args.n, args.key_len, args.seed)
     print(f"key: {record.key}")
-    print(f"shares: {params.n} of {record.shares[0].width}x{record.shares[0].height}")
+    h, w = record.shape
+    print(f"shares: {params.n} of {w}x{h}")
     model = classify.train_model(font.corpus())
     print(f"model: {len(model.samples)} samples")
-    record.submissions[1] = record.shares[0]
-    record.submissions[2] = record.shares[1]
+    record.submissions[1] = record.share(1)
+    record.submissions[2] = record.share(2)
     decision = cas.authenticate(record, model)
     if decision.outcome == cas.GRANTED:
         print("AUTH: GRANTED")

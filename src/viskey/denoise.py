@@ -79,7 +79,9 @@ def _window_filter(a: np.ndarray, white_cutoff: float, black_cutoff: float,
         rows, cols = np.ogrid[:h, :w]
     # zero-padded 2-d prefix sum: cum[i, j] counts the black pixels of a[:i, :j]
     cum = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(a, axis=0), axis=1, out=cum[1:, 1:])
+    cum[1:, 1:] = a
+    cum.cumsum(axis=0, out=cum)  # in place, with no wider temporary
+    cum.cumsum(axis=1, out=cum)
 
     out = a[rows, cols]
     undecided = np.ones(out.shape, dtype=bool)

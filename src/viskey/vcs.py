@@ -58,7 +58,8 @@ def _block_geometry(m):
 
 
 # Memory sets the cap: at n = 33 with a 16-character key, `cas.create_group`
-# already peaks at 142 MB RSS, as every share holds one byte per subpixel.
+# peaks at 142 MB RSS, as `encode` gathers every share at one byte per
+# subpixel; the group then holds its shares packed as P4, 9.0 MB in all.
 MAX_SHARES = 33
 
 
@@ -172,9 +173,9 @@ def parse_scheme(fields) -> SchemeParams:
     return params
 
 
-def share_sidecar(params: SchemeParams, share: BitImage, share_index, group_id) -> str:
-    """One-line text header accompanying a serialized share."""
-    secret_w, secret_h = share.width // params.block_w, share.height // params.block_h
+def share_sidecar(params: SchemeParams, shape, share_index, group_id) -> str:
+    """One-line text header accompanying a serialized share of shape (h, w)."""
+    secret_w, secret_h = shape[1] // params.block_w, shape[0] // params.block_h
     return f"{format_scheme(params)} {secret_w} {secret_h} {share_index} {group_id}\n"
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import logging
 import socket
 import threading
@@ -62,7 +63,7 @@ class TestCreateGroup:
         assert len(rec.shares) == 2
         assert len(rec.key) == 4
         # every 1x2 share block has exactly one black subpixel
-        for sh in rec.shares:
+        for sh in map(rec.share, (1, 2)):
             pairs = sh.a.reshape(sh.height, -1, 2).sum(axis=2)
             assert np.all(pairs == 1)
 
@@ -70,8 +71,8 @@ class TestCreateGroup:
         rec = cas.create_group("g", 9, 3, 2)
         secret = cas.render_key_image(rec.key)
         assert len(rec.shares) == 9
-        assert rec.shares[0].height == secret.height * 2
-        assert rec.shares[0].width == secret.width * 3
+        assert rec.share(1).height == secret.height * 2
+        assert rec.share(1).width == secret.width * 3
 
     def test_distinct_keys(self):
         a = cas.create_group("g", 2, 6, 10)
@@ -101,7 +102,7 @@ class TestCreateGroup:
 class TestAuthenticate:
     def test_granted(self, model):
         rec = cas.create_group("g", 2, 4, 30)
-        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
+        rec.submissions = {1: rec.share(1), 2: rec.share(2)}
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
         assert rec.status == cas.GRANTED
@@ -112,26 +113,26 @@ class TestAuthenticate:
 
         monkeypatch.setattr(denoise, "_window_filter", no_window)
         rec = cas.create_group("g", 9, 5, 35)
-        rec.submissions = {i: rec.shares[i - 1] for i in (1, 2, 3)}
+        rec.submissions = {i: rec.share(i) for i in (1, 2, 3)}
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
 
     def test_insufficient(self, model):
         rec = cas.create_group("g", 2, 4, 31)
-        rec.submissions = {1: rec.shares[0]}
+        rec.submissions = {1: rec.share(1)}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.INSUFFICIENT_SHARES)
 
     def test_dimension_mismatch(self, model):
         rec = cas.create_group("g", 2, 4, 32)
-        rec.submissions = {1: rec.shares[0], 2: blank(8, 8)}
+        rec.submissions = {1: rec.share(1), 2: blank(8, 8)}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.DIMENSION_MISMATCH)
 
     def test_cross_group_mismatch(self, model):
         a = cas.create_group("a", 2, 4, 33)
         b = cas.create_group("b", 2, 4, 34)
-        a.submissions = {1: a.shares[0], 2: b.shares[1]}
+        a.submissions = {1: a.share(1), 2: b.share(2)}
         d = cas.authenticate(a, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
         assert d.decoded != a.key
@@ -141,7 +142,7 @@ class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
         rec = cas.create_group("grp", 9, 4, 40)
         rec.issued = [1, 3]
-        rec.submissions = {1: rec.shares[0], 3: rec.shares[2]}
+        rec.submissions = {1: rec.share(1), 3: rec.share(3)}
         rec.status = cas.PENDING
         cas.save_record(rec, tmp_path)
         for member in rec.submissions:
@@ -152,7 +153,7 @@ class TestRecordPersistence:
         assert loaded.shares == rec.shares
         assert loaded.issued == [1, 3]
         assert set(loaded.submissions) == {1, 3}
-        assert loaded.submissions[1] == rec.shares[0]
+        assert loaded.submissions[1] == rec.share(1)
 
     def test_later_saves_write_only_the_record(self, tmp_path, monkeypatch):
         rec = cas.create_group("grp", 9, 4, 46)
@@ -182,7 +183,7 @@ class TestRecordPersistence:
         rec = cas.create_group("grp", 9, 2, 41)
         cas.save_record(rec, tmp_path)
         gdir = tmp_path / "grp"
-        h, w = rec.shares[0].a.shape
+        h, w = rec.share(1).a.shape
         record_txt = (gdir / "record.txt").read_text()
         assert "scheme 2ofn 3 9 6 2 3\n" in record_txt
         if damage == "swapped-block":
@@ -203,17 +204,70 @@ class TestRecordPersistence:
         rec = cas.create_group("old", 9, 4, 42)
         gdir = tmp_path / "old"
         gdir.mkdir()
-        h, w = rec.shares[0].a.shape
+        h, w = rec.share(1).a.shape
         (gdir / "record.txt").write_text(
             f"key {rec.key}\nscheme 2ofn 3 9 6 2 3\nsecret {w // 3} {h // 2}\n"
             "issued 2 5\nsubmitted 2 5\nstatus Pending\n")
-        for i, share in enumerate(rec.shares, start=1):
-            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(share, "P4"))
+        for i in range(1, 10):
+            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(rec.share(i), "P4"))
         for i in (2, 5):
-            (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(rec.shares[i - 1], "P4"))
+            (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(rec.share(i), "P4"))
         loaded = cas.load_record("old", tmp_path)
         assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [2, 5])
+        assert loaded.shares == rec.shares
         assert cas.authenticate(loaded, model) == cas.AuthDecision(cas.GRANTED)
+        with serving(tmp_path, model) as srv:
+            c = client(srv)
+            try:
+                for i in (1, 9):
+                    assert c.fetch("old", i)[1] == rec.shares[i - 1] + sidecar(rec, i)
+            finally:
+                c.close()
+
+    def test_shares_held_packed(self, tmp_path):
+        rec = cas.create_group("grp", 21, 6, 47)
+        cas.save_record(rec, tmp_path)
+        for held in (rec, cas.load_record("grp", tmp_path)):
+            assert len(held.shares) == 21 and all(type(s) is bytes for s in held.shares)
+            assert sum(map(len, held.shares)) == 21 * 40_836
+        assert held.shares == rec.shares and held.shape == (216, 1512)
+
+    @pytest.mark.parametrize("form", ["trailing-bytes", "padding-bits", "P1"])
+    def test_noncanonical_share_file_served_canonical(self, tmp_path, model, form):
+        rec = cas.create_group("grp", 9, 1, 48)
+        h, w = rec.shape
+        assert w == 108  # four padding bits at the end of each P4 row
+        cas.save_record(rec, tmp_path)
+        path = tmp_path / "grp" / "share_2.pbm"
+        canonical = path.read_bytes()
+        if form == "trailing-bytes":
+            data = canonical + b"\n# trailing\n"
+        elif form == "padding-bits":
+            body_start = len(canonical) - h * ((w + 7) // 8)
+            rows = np.frombuffer(canonical[body_start:], dtype=np.uint8).reshape(h, -1).copy()
+            rows[:, -1] |= 0x0F
+            data = canonical[:body_start] + rows.tobytes()
+        else:
+            data = write_pbm(rec.share(2), "P1")
+        assert data != canonical and read_pbm(data) == rec.share(2)
+        path.write_bytes(data)
+        assert cas.load_record("grp", tmp_path).shares == rec.shares
+        with serving(tmp_path, model) as srv:
+            c = client(srv)
+            try:
+                reply, payload = c.fetch("grp", 2)
+            finally:
+                c.close()
+        assert reply == f"SHARE grp 2 {len(payload)}"
+        assert payload == write_pbm(read_pbm(data), "P4") + sidecar(rec, 2)
+
+    def test_truncated_share_file_moved_aside(self, tmp_path, model):
+        rec = cas.create_group("grp", 9, 4, 49)
+        cas.save_record(rec, tmp_path)
+        path = tmp_path / "grp" / "share_3.pbm"
+        path.write_bytes(path.read_bytes()[:-5])
+        assert cas.CasState(tmp_path, model).get("grp") is None
+        assert [p.name.split(".")[:2] for p in tmp_path.iterdir()] == [["grp", "corrupt"]]
 
 
 def _fail_after(k):
@@ -234,7 +288,7 @@ class TestCrashConsistency:
     def _saved_group(self, state_dir):
         rec = cas.create_group("grp", 9, 4, 43)
         rec.issued = [1, 2]
-        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
+        rec.submissions = {1: rec.share(1), 2: rec.share(2)}
         rec.status = cas.GRANTED
         cas.save_record(rec, state_dir)
         cas.save_submission(rec, 1, state_dir)
@@ -252,14 +306,14 @@ class TestCrashConsistency:
                 rec.status = cas.PENDING
                 cas.save_record(rec, tmp_path)
             else:
-                rec.submissions[2] = rec.shares[8]
+                rec.submissions[2] = rec.share(9)
                 cas.save_submission(rec, 2, tmp_path)
         monkeypatch.undo()
         loaded = cas.CasState(tmp_path, model).get("grp")
         assert loaded is not None
         assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [1, 2])
         assert loaded.status == cas.GRANTED
-        assert loaded.submissions == {1: rec.shares[0], 2: rec.shares[1]}
+        assert loaded.submissions == {1: rec.share(1), 2: rec.share(2)}
 
     def test_crash_during_reset_keeps_group(self, tmp_path, model, monkeypatch):
         state_dir = tmp_path / "state"
@@ -386,6 +440,10 @@ def wait_until(condition, seconds=5.0):
     return True
 
 
+def sidecar(rec, member):
+    return vcs.share_sidecar(rec.params, rec.shape, member, rec.group_id).encode()
+
+
 def pbm_payload(payload):
     """Split a FETCH payload (P4 raster followed by a sidecar line) and
     return just the canonical PBM bytes."""
@@ -445,6 +503,51 @@ class TestProtocol:
             assert len(written) == 2
         finally:
             c.close()
+
+    def test_fetch_writes_no_pbm(self, server, monkeypatch):
+        """FETCH sends the share as held, packing nothing."""
+        def no_write_pbm(*args):
+            raise AssertionError("write_pbm ran")
+
+        c = client(server)
+        try:
+            assert c.create("g", 21, 6, 5) == "OK g 21"
+            monkeypatch.setattr(cas, "write_pbm", no_write_pbm)
+            for m in (1, 21):
+                reply, payload = c.fetch("g", m)
+                assert reply == f"SHARE g {m} {len(payload)}"
+                assert read_pbm(payload).a.shape == (216, 1512)
+        finally:
+            c.close()
+
+    def test_fetch_bytes_pinned(self, tmp_path, model):
+        """SHA-256 over every FETCH reply and payload of one group per scheme
+        size, as issued and after a restart reads the shares back."""
+        groups = {("a", 2, 4, 1): "e86a2c02f86195f12c4bd94766c244dbe763be6d0836f9f0d53378fa70f81b86",
+                  ("b", 9, 1, 2): "eac46bda0ce88772f867f26404de4e190c6603016283c059d4a37565818ad976",
+                  ("c", 21, 6, 3): "4348fbffdc66b2346dae077d867ba2d3eec03f0e573d646fc35eaeb71f77896f"}
+
+        def digests(c):
+            out = {}
+            for gid, n, key_len, seed in groups:
+                h = hashlib.sha256()
+                for m in range(1, n + 1):
+                    reply, payload = c.fetch(gid, m)
+                    h.update(reply.encode() + b"\n" + payload)
+                out[gid, n, key_len, seed] = h.hexdigest()
+            return out
+
+        state_dir = tmp_path / "state"
+        for restart in (False, True):
+            with serving(state_dir, model) as srv:
+                c = client(srv)
+                try:
+                    if not restart:
+                        for gid, n, key_len, seed in groups:
+                            assert c.create(gid, n, key_len, seed) == f"OK {gid} {n}"
+                    assert digests(c) == groups, restart
+                finally:
+                    c.close()
 
     def test_state_survives_restart(self, tmp_path, model):
         state_dir = tmp_path / "state"

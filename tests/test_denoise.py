@@ -13,6 +13,29 @@ from viskey.denoise import adaptive_filter, cutoffs, decide_blocks
 TWO_OF_TWO_CUTOFFS = cutoffs(vcs.scheme_params(2))
 
 
+def reference_window_filter(a, white_cutoff, black_cutoff):
+    """The windowed filter pixel by pixel, with explicit window sums: the
+    window grows from INITIAL_WINDOW by GROWTH_STEP up to MAX_WINDOW, clipped
+    to the image, until its black ratio is strictly below the white cutoff
+    or strictly above the black one; an undecided pixel keeps its value."""
+    h, w = a.shape
+    out = a.copy()
+    for i in range(h):
+        for j in range(w):
+            for win in range(denoise.INITIAL_WINDOW, denoise.MAX_WINDOW + 1,
+                             denoise.GROWTH_STEP):
+                r = win // 2
+                window = a[max(i - r, 0) : i + r + 1, max(j - r, 0) : j + r + 1]
+                ratio = int(window.sum()) / window.size
+                if ratio < white_cutoff:
+                    out[i, j] = 0
+                    break
+                if ratio > black_cutoff:
+                    out[i, j] = 1
+                    break
+    return out
+
+
 class TestDefaultParams:
     """The scheme's stacked weights and the cutoffs that follow from them."""
 
@@ -128,6 +151,20 @@ class TestAdaptiveFilter:
             rows, cols = rows[:, None], cols[None, :]
         got = denoise._window_filter(a, lo, hi, rows, cols)
         assert np.array_equal(got, full[rows, cols])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        h, w = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        a = random_image(rng, w, h, density=data.draw(st.floats(0, 1))).a
+        # a cutoff k/q with q a window area lets a ratio land exactly on it
+        cutoff = st.floats(0, 1) | st.sampled_from([4, 6, 9, 15, 25, 49]).flatmap(
+            lambda q: st.integers(0, q).map(lambda k: k / q))
+        lo, hi = sorted((data.draw(cutoff), data.draw(cutoff)))
+        got = denoise._window_filter(a, lo, hi)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, reference_window_filter(a, lo, hi))
 
     def test_pure_function(self):
         rng = np.random.default_rng(29)

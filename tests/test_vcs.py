@@ -245,7 +245,7 @@ class TestReconstruct:
 class TestSidecar:
     def test_roundtrip(self):
         p = vcs.scheme_params(9)
-        line = vcs.share_sidecar(p, blank(40 * 3, 30 * 2), 4, "grp-7")
+        line = vcs.share_sidecar(p, (30 * 2, 40 * 3), 4, "grp-7")
         params, sw, sh, idx, gid = vcs.parse_sidecar(line)
         assert params == p and (sw, sh, idx, gid) == (40, 30, 4, "grp-7")
 
