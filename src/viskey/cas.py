@@ -57,10 +57,11 @@ class GroupRecord:
     key: str
     params: vcs.SchemeParams
     shares: tuple  # n canonical P4 files (`write_pbm(share, "P4")`), index 0 is member 1
-    issued: list = field(default_factory=list)  # member indices fetched so far
     submissions: dict = field(default_factory=dict)  # member index -> BitImage
     status: str = PENDING
     version: int = 0  # of the next save_record, which picks its record file
+    # held by every request that reads or changes the group, and by CREATE until its first save
+    lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -141,21 +142,19 @@ MAX_CONNECTIONS = 64
 
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
-    """Stack the submitted shares and compare the machine-read key."""
+    """Stack the submitted shares, compare the machine-read key and set the
+    record's status to the outcome."""
     subs = record.submissions
     if len(subs) < 2:
-        record.status = DENIED
-        return AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    if any(img.a.shape != record.shape for img in subs.values()):
-        record.status = DENIED
-        return AuthDecision(DENIED, DIMENSION_MISMATCH)
-    merged = vcs.reconstruct(list(subs.values()))
-    decoded = decode_string(merged, model, record.params)
-    if decoded == record.key:
-        record.status = GRANTED
-        return AuthDecision(GRANTED)
-    record.status = DENIED
-    return AuthDecision(DENIED, KEY_MISMATCH, decoded)
+        decision = AuthDecision(DENIED, INSUFFICIENT_SHARES)
+    elif any(img.a.shape != record.shape for img in subs.values()):
+        decision = AuthDecision(DENIED, DIMENSION_MISMATCH)
+    else:
+        decoded = decode_string(vcs.reconstruct(list(subs.values())), model, record.params)
+        decision = (AuthDecision(GRANTED) if decoded == record.key
+                    else AuthDecision(DENIED, KEY_MISMATCH, decoded))
+    record.status = decision.outcome
+    return decision
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,6 @@ def save_record(record: GroupRecord, state_dir) -> None:
     lines = [
         f"key {record.key}",
         f"scheme {vcs.format_scheme(record.params)}",
-        f"issued {' '.join(str(i) for i in record.issued)}".rstrip(),
         f"submitted {' '.join(str(i) for i in sorted(record.submissions))}".rstrip(),
         f"version {record.version}",
         f"status {record.status}",  # last: a torn save lacks it
@@ -213,18 +211,12 @@ def _read_fields(path: Path) -> dict:
     return fields
 
 
-def _members(fields, name, n) -> list:
-    members = [int(v) for v in fields.get(name, "").split()]
-    if len(set(members)) != len(members) or not all(1 <= i <= n for i in members):
-        raise ValueError(f"{name} members {members} are not distinct members of 1..{n}")
-    return members
-
-
 def load_record(group_id: str, state_dir) -> GroupRecord:
     """Read the newest whole version of a group saved by `save_record`;
     KeyError if its key, scheme or status line is missing, ValueError if its
-    status or members are invalid or its scheme fields or share sizes are
-    inconsistent."""
+    status or submitted members are invalid or its scheme fields or share
+    sizes are inconsistent. Lines it does not read, some of which earlier
+    versions wrote, are ignored."""
     gdir = Path(state_dir) / group_id
     saved = [_read_fields(gdir / name) for name in RECORD_FILES if (gdir / name).exists()]
     whole = [f for f in saved if f.get("status") in STATUSES]
@@ -240,10 +232,12 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
     if (any(_p4_shape(s) != (h, w) for s in shares)
             or h % params.block_h or w % params.block_w):
         raise ValueError(f"shares differ in size or do not tile into {params.m}-subpixel blocks")
-    record = GroupRecord(group_id, fields["key"], params, shares,
-                         issued=_members(fields, "issued", params.n), status=fields["status"],
+    submitted = [int(v) for v in fields.get("submitted", "").split()]
+    if len(set(submitted)) != len(submitted) or not all(1 <= i <= params.n for i in submitted):
+        raise ValueError(f"submitted members {submitted} are not distinct in 1..{params.n}")
+    record = GroupRecord(group_id, fields["key"], params, shares, status=fields["status"],
                          version=int(fields.get("version", 0)) + 1)
-    for i in _members(fields, "submitted", params.n):
+    for i in submitted:
         record.submissions[i] = read_pbm((gdir / f"submission_{i}.pbm").read_bytes())
     return record
 
@@ -252,13 +246,13 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
 # line-protocol service
 
 class CasState:
-    """Server-side group table with per-group locking and file persistence."""
+    """Server-side group table with file persistence; each record holds its
+    group's lock."""
 
     def __init__(self, state_dir, model: Model):
         self.state_dir = Path(state_dir)
         self.model = model
         self._records = {}
-        self._locks = {}
         self._table_lock = threading.Lock()
         self.state_dir.mkdir(parents=True, exist_ok=True)
         for rec_file in self.state_dir.glob("*/record.txt"):
@@ -274,17 +268,14 @@ class CasState:
                 log.warning("group %s: unreadable record (%s), moved to %s",
                             gid, type(e).__name__, dest.name)
 
-    def lock_for(self, group_id):
-        with self._table_lock:
-            return self._locks.setdefault(group_id, threading.Lock())
-
     def get(self, group_id):
         with self._table_lock:
             return self._records.get(group_id)
 
-    def put(self, record):
+    def add(self, record) -> bool:
+        """Insert `record` unless its group id is taken; True if inserted."""
         with self._table_lock:
-            self._records[record.group_id] = record
+            return self._records.setdefault(record.group_id, record) is record
 
 
 USAGE = {
@@ -365,16 +356,16 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "CREATE":
             n, key_len, seed = nums
-            with state.lock_for(gid):
-                if state.get(gid) is not None:
-                    raise ProtocolError("exists", f"group {gid} already exists")
-                try:
+            if state.get(gid) is None:
+                try:  # with no lock held: a refused CREATE leaves nothing behind
                     record = create_group(gid, n, key_len, seed)
                 except ValueError as e:
                     raise ProtocolError("badscheme", str(e))
-                state.put(record)
-                save_record(record, state.state_dir)
-            return f"OK {gid} {n}", b""
+                with record.lock:  # requests that find the record wait for its save
+                    if state.add(record):
+                        save_record(record, state.state_dir)
+                        return f"OK {gid} {n}", b""
+            raise ProtocolError("exists", f"group {gid} already exists")
 
         record = state.get(gid)
         if record is None:
@@ -384,10 +375,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "FETCH":
             (member,) = nums
-            with state.lock_for(gid):
-                if member not in record.issued:
-                    record.issued.append(member)
-                    save_record(record, state.state_dir)
+            with record.lock:
                 payload = (record.shares[member - 1]
                            + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
             return f"SHARE {gid} {member} {len(payload)}", payload
@@ -398,14 +386,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 img = read_pbm(data)
             except ValueError as e:
                 raise ProtocolError("badpbm", str(e))
-            with state.lock_for(gid):
+            with record.lock:
                 record.submissions[member] = img
                 save_submission(record, member, state.state_dir)
                 count = len(record.submissions)
             return f"ACCEPTED {count}", b""
 
         if cmd == "AUTH":
-            with state.lock_for(gid):
+            with record.lock:
                 decision = authenticate(record, state.model)
                 save_record(record, state.state_dir)
             if decision.outcome == GRANTED:
@@ -413,7 +401,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return f"DENIED {gid} {decision.reason}", b""
 
         # RESET, the one verb left
-        with state.lock_for(gid):
+        with record.lock:
             record.submissions.clear()
             record.status = PENDING
             # the record first: a crash between leaves unlisted files, not missing ones
@@ -477,6 +465,8 @@ class CasClient:
     def _request(self, line, payload=b""):
         self.sock.sendall(line.encode("utf-8") + b"\n" + payload)
         reply = self.rfile.readline().decode("utf-8").strip()
+        if not reply:
+            raise ConnectionError("the server closed the connection without a reply")
         return reply
 
     def create(self, gid, n, key_len, seed):
@@ -489,6 +479,9 @@ class CasClient:
             return reply, b""
         nbytes = int(parts[3])
         payload = self.rfile.read(nbytes)
+        if len(payload) != nbytes:
+            raise ConnectionError(f"the server closed the connection after {len(payload)} "
+                                  f"of {nbytes} share bytes")
         return reply, payload
 
     def submit(self, gid, member, pbm_bytes):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import logging
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -141,7 +142,6 @@ class TestAuthenticate:
 class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
         rec = cas.create_group("grp", 9, 4, 40)
-        rec.issued = [1, 3]
         rec.submissions = {1: rec.share(1), 3: rec.share(3)}
         rec.status = cas.PENDING
         cas.save_record(rec, tmp_path)
@@ -151,7 +151,6 @@ class TestRecordPersistence:
         assert loaded.key == rec.key
         assert loaded.params == rec.params
         assert loaded.shares == rec.shares
-        assert loaded.issued == [1, 3]
         assert set(loaded.submissions) == {1, 3}
         assert loaded.submissions[1] == rec.share(1)
 
@@ -172,7 +171,6 @@ class TestRecordPersistence:
 
         for name in ("exists", "mkdir", "write_bytes"):
             monkeypatch.setattr(cas.Path, name, spy(name))
-        rec.issued.append(4)
         cas.save_record(rec, tmp_path)
         assert calls == [("write_bytes", "record.1.txt")]
         monkeypatch.undo()
@@ -213,7 +211,7 @@ class TestRecordPersistence:
         for i in (2, 5):
             (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(rec.share(i), "P4"))
         loaded = cas.load_record("old", tmp_path)
-        assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [2, 5])
+        assert (loaded.key, loaded.params) == (rec.key, rec.params)
         assert loaded.shares == rec.shares
         assert cas.authenticate(loaded, model) == cas.AuthDecision(cas.GRANTED)
         with serving(tmp_path, model) as srv:
@@ -221,6 +219,23 @@ class TestRecordPersistence:
             try:
                 for i in (1, 9):
                     assert c.fetch("old", i)[1] == rec.shares[i - 1] + sidecar(rec, i)
+            finally:
+                c.close()
+
+    def test_record_with_issued_line_loads(self, tmp_path, model):
+        """A record as earlier versions wrote it, with an `issued` line, even
+        one that lists a member twice: the line is not read."""
+        rec = cas.create_group("grp", 9, 4, 50)
+        cas.save_record(rec, tmp_path)
+        path = tmp_path / "grp" / "record.txt"
+        path.write_text(path.read_text().replace("\nsubmitted", "\nissued 1 1\nsubmitted"))
+        loaded = cas.load_record("grp", tmp_path)
+        assert (loaded.key, loaded.params, loaded.shares) == (rec.key, rec.params, rec.shares)
+        with serving(tmp_path, model) as srv:
+            c = client(srv)
+            try:
+                for i in range(1, 10):
+                    assert c.fetch("grp", i)[1] == rec.shares[i - 1] + sidecar(rec, i)
             finally:
                 c.close()
 
@@ -287,7 +302,6 @@ def _raise_oserror(*args, **kwargs):
 class TestCrashConsistency:
     def _saved_group(self, state_dir):
         rec = cas.create_group("grp", 9, 4, 43)
-        rec.issued = [1, 2]
         rec.submissions = {1: rec.share(1), 2: rec.share(2)}
         rec.status = cas.GRANTED
         cas.save_record(rec, state_dir)
@@ -295,14 +309,13 @@ class TestCrashConsistency:
         cas.save_submission(rec, 2, state_dir)
         return rec
 
-    @pytest.mark.parametrize("k", [0, 1, 40, 72])
+    @pytest.mark.parametrize("k", [0, 1, 40, 59])
     @pytest.mark.parametrize("write", ["record", "submission"])
     def test_torn_write_keeps_old_record(self, tmp_path, model, monkeypatch, k, write):
         rec = self._saved_group(tmp_path)
         monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(k))
         with pytest.raises(OSError, match="simulated"):
             if write == "record":
-                rec.issued.append(3)
                 rec.status = cas.PENDING
                 cas.save_record(rec, tmp_path)
             else:
@@ -311,7 +324,7 @@ class TestCrashConsistency:
         monkeypatch.undo()
         loaded = cas.CasState(tmp_path, model).get("grp")
         assert loaded is not None
-        assert (loaded.key, loaded.params, loaded.issued) == (rec.key, rec.params, [1, 2])
+        assert (loaded.key, loaded.params) == (rec.key, rec.params)
         assert loaded.status == cas.GRANTED
         assert loaded.submissions == {1: rec.share(1), 2: rec.share(2)}
 
@@ -375,7 +388,7 @@ class TestCrashConsistency:
                 with pytest.raises((KeyError, ValueError)):
                     cas.load_record("grp", tmp_path)
         path.write_bytes(full)
-        rec.issued, rec.status = [4], cas.DENIED
+        rec.status = cas.DENIED
         cas.save_record(rec, tmp_path)  # version 1, in record.1.txt
         newer = tmp_path / "grp" / "record.1.txt"
         full = newer.read_bytes()
@@ -383,18 +396,16 @@ class TestCrashConsistency:
         for k in range(len(full) - 1):
             newer.write_bytes(full[:k])
             loaded = cas.load_record("grp", tmp_path)
-            assert (loaded.issued, loaded.status, loaded.version) == ([], cas.PENDING, 1)
+            assert (loaded.status, loaded.version) == (cas.PENDING, 1)
         newer.write_bytes(full)
         loaded = cas.load_record("grp", tmp_path)
-        assert (loaded.issued, loaded.status, loaded.version) == ([4], cas.DENIED, 2)
+        assert (loaded.status, loaded.version) == (cas.DENIED, 2)
 
     @pytest.mark.parametrize("line,value", [
-        ("status", "Gran"), ("status", ""), ("issued", "1 1"), ("issued", "0"),
-        ("submitted", "2 10"), ("submitted", "1 1"),
+        ("status", "Gran"), ("status", ""), ("submitted", "2 10"), ("submitted", "1 1"),
     ])
     def test_bad_status_or_members_rejected(self, tmp_path, line, value):
         rec = cas.create_group("grp", 9, 4, 45)
-        rec.issued = [1, 2]
         cas.save_record(rec, tmp_path)
         path = tmp_path / "grp" / "record.txt"
         lines = [f"{line} {value}" if ln.partition(" ")[0] == line else ln
@@ -762,5 +773,126 @@ class TestProtocolInput:
         c = client(server, timeout=5.0)
         try:
             assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()
+
+
+class TestGroupTable:
+    def test_refused_creates_leave_nothing(self, tmp_path, model):
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                for i in range(200):
+                    assert c.create(f"g{i}", 5, 4, 1).startswith("ERR badscheme")
+            finally:
+                c.close()
+            tables = {name: len(value) for name, value in vars(srv.cas_state).items()
+                      if isinstance(value, (dict, set))}
+        assert tables and not any(tables.values()), tables
+        assert list(state_dir.iterdir()) == []
+
+    def test_concurrent_create_one_wins(self, tmp_path, model, monkeypatch):
+        """Both CREATEs pass the existence check and encode at once; the
+        first to add its record saves it, the other answers `ERR exists`."""
+        both_encoding = threading.Barrier(2, timeout=5)
+        create_group = cas.create_group
+
+        def create_group_together(*args):
+            both_encoding.wait()
+            return create_group(*args)
+
+        monkeypatch.setattr(cas, "create_group", create_group_together)
+        state_dir = tmp_path / "state"
+        replies = {}
+        with serving(state_dir, model) as srv:
+            def create(seed):
+                c = client(srv, timeout=10.0)
+                try:
+                    replies[seed] = c.create("g", 9, 6, seed)
+                finally:
+                    c.close()
+
+            threads = [threading.Thread(target=create, args=(seed,)) for seed in (11, 12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=15)
+            assert not any(t.is_alive() for t in threads)
+        winners = [seed for seed, reply in replies.items() if reply == "OK g 9"]
+        losers = [seed for seed, reply in replies.items() if reply.startswith("ERR exists")]
+        assert len(winners) == len(losers) == 1, replies
+        monkeypatch.undo()
+        rec = cas.create_group("g", 9, 6, winners[0])
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                for m in range(1, 10):
+                    assert c.fetch("g", m)[1] == rec.shares[m - 1] + sidecar(rec, m)
+            finally:
+                c.close()
+
+    def test_concurrent_creates_stress(self, tmp_path, model):
+        """Four clients CREATE the same ten ids, each with its own seed, with
+        threads switched as often as the interpreter allows: each id has one
+        winner, and a restarted server serves the winner's shares."""
+        state_dir = tmp_path / "state"
+        gids, seeds = [f"g{i}" for i in range(10)], range(4)
+        replies = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving(state_dir, model) as srv:
+                def create_all(seed):
+                    c = client(srv, timeout=10.0)
+                    try:
+                        for gid in gids:
+                            replies[gid, seed] = c.create(gid, 2, 4, seed)
+                    finally:
+                        c.close()
+
+                threads = [threading.Thread(target=create_all, args=(seed,)) for seed in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                for gid in gids:
+                    winners = [seed for seed in seeds if replies[gid, seed] == f"OK {gid} 2"]
+                    assert len(winners) == 1, gid
+                    assert all(replies[gid, seed].startswith("ERR exists")
+                               for seed in seeds if seed != winners[0])
+                    rec = cas.create_group(gid, 2, 4, winners[0])
+                    for m in (1, 2):
+                        assert c.fetch(gid, m)[1] == rec.shares[m - 1] + sidecar(rec, m)
+            finally:
+                c.close()
+
+    def test_fetch_writes_nothing(self, server, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        c = client(server)
+        try:
+            assert c.create("g", 9, 4, 3) == "OK g 9"
+            monkeypatch.setattr(cas, "save_record", spy(cas, "save_record"))
+            monkeypatch.setattr(cas.Path, "write_bytes", spy(cas.Path, "write_bytes"))
+            payloads = [c.fetch("g", m)[1] for m in range(1, 10)]
+            assert calls == []
+            # the spies see the writes of a SUBMIT
+            assert c.submit("g", 1, pbm_payload(payloads[0])) == "ACCEPTED 1"
+            assert calls == ["write_bytes", "save_record", "write_bytes"]
         finally:
             c.close()

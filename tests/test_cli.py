@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import socket
+import threading
 from pathlib import Path
 
 import pytest
+from test_cas import serving
 
 from viskey import classify, vcs
 from viskey.bitimage import downsample_majority, read_pbm, write_pbm
@@ -208,3 +212,59 @@ class TestDemo:
         _, out1, _ = run(capsys, "demo", "--n", "2", "--seed", "3")
         _, out2, _ = run(capsys, "demo", "--n", "2", "--seed", "3")
         assert hashlib.sha256(out1.encode()).hexdigest() == hashlib.sha256(out2.encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def dropping_server(reply):
+    """A port on which one connection is accepted; its first request line is
+    read, answered with the raw bytes `reply`, and the connection closed."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            rfile.readline()
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+
+
+class TestServiceClient:
+    def test_readme_service_example(self, capsys, tmp_path, model, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with serving(tmp_path / "state", model) as srv:
+            port = str(srv.server_address[1])
+
+            def viskey(command, *argv):
+                code, out, err = run(capsys, command, "--port", port, *argv)
+                assert (code, err) == (0, ""), (command, argv)
+                return out
+
+            assert viskey("create", "grp", "2", "6", "42") == "OK grp 2\n"
+            for m in ("1", "2"):
+                reply = viskey("fetch", "grp", m, "--out", f"s{m}.pbm").split()
+                assert reply[:3] == ["SHARE", "grp", m]
+                assert Path(f"s{m}.pbm").stat().st_size == int(reply[3])
+            assert viskey("submit", "grp", "1", "s1.pbm") == "ACCEPTED 1\n"
+            assert viskey("submit", "grp", "2", "s2.pbm") == "ACCEPTED 2\n"
+            assert viskey("auth", "grp") == "GRANTED grp\n"
+
+    @pytest.mark.parametrize("argv,reply", [
+        (["auth", "grp"], b""),
+        (["fetch", "grp", "1", "--out", "s1.pbm"], b""),
+        (["fetch", "grp", "1", "--out", "s1.pbm"], b"SHARE grp 1 100\n" + bytes(10)),
+    ], ids=["auth", "fetch", "fetch-short-payload"])
+    def test_dropped_connection(self, capsys, tmp_path, monkeypatch, argv, reply):
+        monkeypatch.chdir(tmp_path)
+        with dropping_server(reply) as port:
+            code, out, err = run(capsys, argv[0], "--port", str(port), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the server closed the connection")
+        assert list(tmp_path.iterdir()) == []
