@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import shutil
 import socket
 import socketserver
 import threading
@@ -33,7 +34,6 @@ DEFAULT_SPACING = 4
 MARGIN = 2
 MAX_KEY_LENGTH = 16  # with vcs.MAX_SHARES, bounds the work of one CREATE
 
-PENDING = "Pending"
 GRANTED = "Granted"
 DENIED = "Denied"
 
@@ -58,7 +58,6 @@ class GroupRecord:
     params: vcs.SchemeParams
     shares: tuple  # n canonical P4 files (`write_pbm(share, "P4")`), index 0 is member 1
     submissions: dict = field(default_factory=dict)  # member index -> BitImage
-    status: str = PENDING
     version: int = 0  # of the next save_record, which picks its record file
     # held by every request that reads or changes the group, and by CREATE until its first save
     lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
@@ -142,19 +141,16 @@ MAX_CONNECTIONS = 64
 
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
-    """Stack the submitted shares, compare the machine-read key and set the
-    record's status to the outcome."""
+    """Stack the submitted shares and compare the machine-read key; the
+    record is left unchanged."""
     subs = record.submissions
     if len(subs) < 2:
-        decision = AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    elif any(img.a.shape != record.shape for img in subs.values()):
-        decision = AuthDecision(DENIED, DIMENSION_MISMATCH)
-    else:
-        decoded = decode_string(vcs.reconstruct(list(subs.values())), model, record.params)
-        decision = (AuthDecision(GRANTED) if decoded == record.key
-                    else AuthDecision(DENIED, KEY_MISMATCH, decoded))
-    record.status = decision.outcome
-    return decision
+        return AuthDecision(DENIED, INSUFFICIENT_SHARES)
+    if any(img.a.shape != record.shape for img in subs.values()):
+        return AuthDecision(DENIED, DIMENSION_MISMATCH)
+    decoded = decode_string(vcs.reconstruct(list(subs.values())), model, record.params)
+    return (AuthDecision(GRANTED) if decoded == record.key
+            else AuthDecision(DENIED, KEY_MISMATCH, decoded))
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +160,17 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
 # holding the older version in place, so a save torn by a crash leaves the
 # newer whole version in the other file, and `load_record` reads the whole
 # one with the higher version. Renaming a new file over a single record file
-# would do the same, but on ext4 it made each save about 0.6 ms slower, and
-# AUTH, which saves once, about 30 % slower. No fsync: this survives a crash
-# of the process, not a power loss.
+# would do the same, but on ext4 it made each save about 0.6 ms slower, a
+# cost that every SUBMIT and RESET, which save the record once, would pay.
+# No fsync: this survives a crash of the process, not a power loss.
 RECORD_FILES = ("record.txt", "record.1.txt")
-STATUSES = (PENDING, GRANTED, DENIED)
 
 
 def save_record(record: GroupRecord, state_dir) -> None:
-    """Write the group's next record version; the first save (version 0, from
-    `CREATE`) first makes the group directory and its share files. Submission
-    files are written only by `save_submission`."""
+    """Write the group's next record version, ending with its `version`
+    line; the first save (version 0, from `CREATE`) first makes the group
+    directory and its share files. Submission files are written only by
+    `save_submission`."""
     gdir = Path(state_dir) / record.group_id
     if record.version == 0:  # shares first: a group with a record has its shares
         gdir.mkdir(parents=True, exist_ok=True)
@@ -184,8 +180,7 @@ def save_record(record: GroupRecord, state_dir) -> None:
         f"key {record.key}",
         f"scheme {vcs.format_scheme(record.params)}",
         f"submitted {' '.join(str(i) for i in sorted(record.submissions))}".rstrip(),
-        f"version {record.version}",
-        f"status {record.status}",  # last: a torn save lacks it
+        f"version {record.version}",  # last: a torn save lacks it or its newline
     ]
     (gdir / RECORD_FILES[record.version % 2]).write_bytes(("\n".join(lines) + "\n").encode())
     record.version += 1
@@ -203,26 +198,27 @@ def save_submission(record: GroupRecord, member: int, state_dir) -> None:
     save_record(record, state_dir)
 
 
-def _read_fields(path: Path) -> dict:
-    fields = {}
-    for line in path.read_text().splitlines():
-        name, _, rest = line.partition(" ")
-        fields[name] = rest
-    return fields
+def _read_whole(path: Path):
+    """The fields of a record file, or None if its save was torn: a whole
+    version ends with a newline, and its last line is its `version` line or,
+    in records earlier versions wrote, a `status` line."""
+    lines = path.read_text().split("\n")
+    if len(lines) < 2 or lines[-1] or lines[-2].partition(" ")[0] not in ("version", "status"):
+        return None
+    return dict(line.partition(" ")[::2] for line in lines[:-1])
 
 
 def load_record(group_id: str, state_dir) -> GroupRecord:
     """Read the newest whole version of a group saved by `save_record`;
-    KeyError if its key, scheme or status line is missing, ValueError if its
-    status or submitted members are invalid or its scheme fields or share
-    sizes are inconsistent. Lines it does not read, some of which earlier
-    versions wrote, are ignored."""
+    KeyError if no version is whole or its key or scheme line is missing,
+    ValueError if its submitted members are invalid or its scheme fields or
+    share sizes are inconsistent. Lines it does not read, some of which
+    earlier versions wrote, are ignored."""
     gdir = Path(state_dir) / group_id
-    saved = [_read_fields(gdir / name) for name in RECORD_FILES if (gdir / name).exists()]
-    whole = [f for f in saved if f.get("status") in STATUSES]
-    if not whole:  # say what is wrong with record.txt
-        fields = _read_fields(gdir / RECORD_FILES[0])
-        raise ValueError(f"unknown status {fields['status']!r}")
+    saved = (_read_whole(gdir / name) for name in RECORD_FILES if (gdir / name).exists())
+    whole = [f for f in saved if f is not None]
+    if not whole:
+        raise KeyError(f"no whole record version in {group_id}")
     fields = max(whole, key=lambda f: int(f.get("version", 0)))
     params = vcs.parse_scheme(fields["scheme"].split())
     # any PBM read_pbm accepts, held in the canonical form save_record writes
@@ -235,7 +231,7 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
     submitted = [int(v) for v in fields.get("submitted", "").split()]
     if len(set(submitted)) != len(submitted) or not all(1 <= i <= params.n for i in submitted):
         raise ValueError(f"submitted members {submitted} are not distinct in 1..{params.n}")
-    record = GroupRecord(group_id, fields["key"], params, shares, status=fields["status"],
+    record = GroupRecord(group_id, fields["key"], params, shares,
                          version=int(fields.get("version", 0)) + 1)
     for i in submitted:
         record.submissions[i] = read_pbm((gdir / f"submission_{i}.pbm").read_bytes())
@@ -276,6 +272,11 @@ class CasState:
         """Insert `record` unless its group id is taken; True if inserted."""
         with self._table_lock:
             return self._records.setdefault(record.group_id, record) is record
+
+    def remove(self, record) -> None:
+        """Drop `record`, which `add` inserted, from the table."""
+        with self._table_lock:
+            del self._records[record.group_id]
 
 
 USAGE = {
@@ -363,7 +364,12 @@ class _Handler(socketserver.StreamRequestHandler):
                     raise ProtocolError("badscheme", str(e))
                 with record.lock:  # requests that find the record wait for its save
                     if state.add(record):
-                        save_record(record, state.state_dir)
+                        try:
+                            save_record(record, state.state_dir)
+                        except BaseException:  # a group exists once saved, or not at all
+                            shutil.rmtree(state.state_dir / gid, ignore_errors=True)
+                            state.remove(record)
+                            raise
                         return f"OK {gid} {n}", b""
             raise ProtocolError("exists", f"group {gid} already exists")
 
@@ -373,42 +379,41 @@ class _Handler(socketserver.StreamRequestHandler):
         if cmd in ("FETCH", "SUBMIT") and not (1 <= nums[0] <= record.params.n):
             raise ProtocolError("unknownmember", f"member must be 1..{record.params.n}")
 
-        if cmd == "FETCH":
-            (member,) = nums
-            with record.lock:
-                payload = (record.shares[member - 1]
-                           + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
-            return f"SHARE {gid} {member} {len(payload)}", payload
-
         if cmd == "SUBMIT":
-            member = nums[0]
             try:
                 img = read_pbm(data)
             except ValueError as e:
                 raise ProtocolError("badpbm", str(e))
-            with record.lock:
+
+        with record.lock:
+            if state.get(gid) is not record:  # its CREATE failed to save it
+                raise ProtocolError("unknowngroup", f"no group {gid}")
+
+            if cmd == "FETCH":
+                (member,) = nums
+                payload = (record.shares[member - 1]
+                           + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
+                return f"SHARE {gid} {member} {len(payload)}", payload
+
+            if cmd == "SUBMIT":
+                member = nums[0]
                 record.submissions[member] = img
                 save_submission(record, member, state.state_dir)
-                count = len(record.submissions)
-            return f"ACCEPTED {count}", b""
+                return f"ACCEPTED {len(record.submissions)}", b""
 
-        if cmd == "AUTH":
-            with record.lock:
+            if cmd == "AUTH":
                 decision = authenticate(record, state.model)
-                save_record(record, state.state_dir)
-            if decision.outcome == GRANTED:
-                return f"GRANTED {gid}", b""
-            return f"DENIED {gid} {decision.reason}", b""
+                if decision.outcome == GRANTED:
+                    return f"GRANTED {gid}", b""
+                return f"DENIED {gid} {decision.reason}", b""
 
-        # RESET, the one verb left
-        with record.lock:
+            # RESET, the one verb left
             record.submissions.clear()
-            record.status = PENDING
             # the record first: a crash between leaves unlisted files, not missing ones
             save_record(record, state.state_dir)
             for p in (state.state_dir / gid).glob("submission_*"):  # *.tmp too
                 p.unlink()
-        return "OK", b""
+            return "OK", b""
 
 
 class CasServer(socketserver.ThreadingTCPServer):

@@ -195,20 +195,19 @@ def _run(args) -> int:
         client = cas.CasClient(args.host, args.port)
         try:
             if cmd == "create":
-                print(client.create(args.group_id, args.n, args.key_len, args.seed))
+                reply = client.create(args.group_id, args.n, args.key_len, args.seed)
             elif cmd == "fetch":
                 reply, payload = client.fetch(args.group_id, args.member)
-                print(reply)
-                if payload:
-                    Path(args.out).write_bytes(payload)
             elif cmd == "submit":
-                print(client.submit(args.group_id, args.member,
-                                    Path(args.share).read_bytes()))
+                reply = client.submit(args.group_id, args.member, Path(args.share).read_bytes())
             else:
-                print(client.auth(args.group_id))
+                reply = client.auth(args.group_id)
         finally:
             client.close()
-        return 0
+        print(reply)
+        if cmd == "fetch" and payload:
+            Path(args.out).write_bytes(payload)
+        return 1 if reply.startswith(("ERR", "DENIED")) else 0  # the server refused
 
     if cmd == "serve":
         model = classify.load_model(args.model)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import logging
 import socket
@@ -104,9 +105,10 @@ class TestAuthenticate:
     def test_granted(self, model):
         rec = cas.create_group("g", 2, 4, 30)
         rec.submissions = {1: rec.share(1), 2: rec.share(2)}
+        before = dataclasses.replace(rec, submissions=dict(rec.submissions))
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
-        assert rec.status == cas.GRANTED
+        assert rec == before
 
     def test_three_shares_granted_without_window_pass(self, model, monkeypatch):
         def no_window(*args):
@@ -143,7 +145,6 @@ class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
         rec = cas.create_group("grp", 9, 4, 40)
         rec.submissions = {1: rec.share(1), 3: rec.share(3)}
-        rec.status = cas.PENDING
         cas.save_record(rec, tmp_path)
         for member in rec.submissions:
             cas.save_submission(rec, member, tmp_path)
@@ -239,6 +240,25 @@ class TestRecordPersistence:
             finally:
                 c.close()
 
+    @pytest.mark.parametrize("newer", ["whole", "torn-after-version"])
+    def test_record_with_status_line_loads(self, tmp_path, model, newer):
+        """Records as earlier versions wrote them, each ending with a `status`
+        line; the newer one, whole or torn just after its `version` line,
+        loads as its version."""
+        rec = cas.create_group("grp", 9, 4, 51)
+        cas.save_record(rec, tmp_path)
+        gdir = tmp_path / "grp"
+        head = f"key {rec.key}\nscheme 2ofn 3 9 6 2 3\n"
+        (gdir / "record.txt").write_text(head + "submitted 1\nversion 2\nstatus Pending\n")
+        last = "status Granted\n" if newer == "whole" else ""
+        (gdir / "record.1.txt").write_text(head + "submitted 1 2\nversion 3\n" + last)
+        for i in (1, 2):
+            (gdir / f"submission_{i}.pbm").write_bytes(rec.shares[i - 1])
+        loaded = cas.load_record("grp", tmp_path)
+        assert (loaded.key, loaded.params, loaded.shares) == (rec.key, rec.params, rec.shares)
+        assert (sorted(loaded.submissions), loaded.version) == ([1, 2], 4)
+        assert cas.authenticate(loaded, model) == cas.AuthDecision(cas.GRANTED)
+
     def test_shares_held_packed(self, tmp_path):
         rec = cas.create_group("grp", 21, 6, 47)
         cas.save_record(rec, tmp_path)
@@ -303,7 +323,6 @@ class TestCrashConsistency:
     def _saved_group(self, state_dir):
         rec = cas.create_group("grp", 9, 4, 43)
         rec.submissions = {1: rec.share(1), 2: rec.share(2)}
-        rec.status = cas.GRANTED
         cas.save_record(rec, state_dir)
         cas.save_submission(rec, 1, state_dir)
         cas.save_submission(rec, 2, state_dir)
@@ -316,7 +335,9 @@ class TestCrashConsistency:
         monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(k))
         with pytest.raises(OSError, match="simulated"):
             if write == "record":
-                rec.status = cas.PENDING
+                # a 61-byte save whose last line, `version 3`, starts at byte 51:
+                # k = 59 tears it inside that line
+                rec.submissions = {i: rec.share(i) for i in range(1, 6)}
                 cas.save_record(rec, tmp_path)
             else:
                 rec.submissions[2] = rec.share(9)
@@ -325,7 +346,6 @@ class TestCrashConsistency:
         loaded = cas.CasState(tmp_path, model).get("grp")
         assert loaded is not None
         assert (loaded.key, loaded.params) == (rec.key, rec.params)
-        assert loaded.status == cas.GRANTED
         assert loaded.submissions == {1: rec.share(1), 2: rec.share(2)}
 
     def test_crash_during_reset_keeps_group(self, tmp_path, model, monkeypatch):
@@ -349,7 +369,7 @@ class TestCrashConsistency:
         monkeypatch.undo()
         loaded = cas.CasState(state_dir, model).get("g")
         assert loaded is not None
-        assert (loaded.status, loaded.submissions) == (cas.PENDING, {})
+        assert loaded.submissions == {}
 
     def test_reset_removes_torn_submission(self, tmp_path, model, monkeypatch):
         state_dir = tmp_path / "state"
@@ -377,33 +397,28 @@ class TestCrashConsistency:
         cas.save_record(rec, tmp_path)  # version 0, in record.txt
         path = tmp_path / "grp" / "record.txt"
         full = path.read_bytes()
-        assert full.endswith(b"\nversion 0\nstatus Pending\n")
-        # the only version: every proper prefix but the one that lacks just
-        # the final newline fails to load
+        assert full.endswith(b"\nsubmitted\nversion 0\n")
+        # the only version: every proper prefix fails to load
         for k in range(len(full)):
             path.write_bytes(full[:k])
-            if k == len(full) - 1:
-                assert cas.load_record("grp", tmp_path).status == cas.PENDING
-            else:
-                with pytest.raises((KeyError, ValueError)):
-                    cas.load_record("grp", tmp_path)
+            with pytest.raises((KeyError, ValueError)):
+                cas.load_record("grp", tmp_path)
         path.write_bytes(full)
-        rec.status = cas.DENIED
-        cas.save_record(rec, tmp_path)  # version 1, in record.1.txt
+        rec.submissions[1] = rec.share(1)
+        cas.save_submission(rec, 1, tmp_path)  # version 1, in record.1.txt
         newer = tmp_path / "grp" / "record.1.txt"
         full = newer.read_bytes()
+        assert full.endswith(b"\nsubmitted 1\nversion 1\n")
         # with version 1 torn, version 0 loads whole
-        for k in range(len(full) - 1):
+        for k in range(len(full)):
             newer.write_bytes(full[:k])
             loaded = cas.load_record("grp", tmp_path)
-            assert (loaded.status, loaded.version) == (cas.PENDING, 1)
+            assert (loaded.submissions, loaded.version) == ({}, 1)
         newer.write_bytes(full)
         loaded = cas.load_record("grp", tmp_path)
-        assert (loaded.status, loaded.version) == (cas.DENIED, 2)
+        assert (loaded.submissions, loaded.version) == ({1: rec.share(1)}, 2)
 
-    @pytest.mark.parametrize("line,value", [
-        ("status", "Gran"), ("status", ""), ("submitted", "2 10"), ("submitted", "1 1"),
-    ])
+    @pytest.mark.parametrize("line,value", [("submitted", "2 10"), ("submitted", "1 1")])
     def test_bad_status_or_members_rejected(self, tmp_path, line, value):
         rec = cas.create_group("grp", 9, 4, 45)
         cas.save_record(rec, tmp_path)
@@ -493,7 +508,7 @@ class TestProtocol:
             c.close()
 
     def test_auth_writes_no_pbm(self, server, monkeypatch):
-        """SUBMIT writes its own submission file; AUTH changes only the status."""
+        """SUBMIT writes its own submission file; AUTH writes nothing."""
         written = []
         write_pbm_unpatched = cas.write_pbm
 
@@ -569,6 +584,7 @@ class TestProtocol:
             _, p2 = c.fetch("g", 2)
             c.submit("g", 1, pbm_payload(p1))
             c.submit("g", 2, pbm_payload(p2))
+            assert c.auth("g") == "GRANTED g"
             c.close()
 
         # fresh process state from disk: submissions and shares intact
@@ -578,8 +594,16 @@ class TestProtocol:
                 _, p1b = c2.fetch("g", 1)
                 assert p1b == p1
                 assert c2.auth("g") == "GRANTED g"
+                assert c2.reset("g") == "OK"
             finally:
                 c2.close()
+
+        with serving(state_dir, model) as srv3:
+            c3 = client(srv3)
+            try:
+                assert c3.auth("g") == "DENIED g InsufficientShares"
+            finally:
+                c3.close()
 
     def test_corrupt_record_moved_aside_at_startup(self, tmp_path, model, caplog):
         state_dir = tmp_path / "state"
@@ -873,7 +897,8 @@ class TestGroupTable:
             finally:
                 c.close()
 
-    def test_fetch_writes_nothing(self, server, monkeypatch):
+    @pytest.mark.parametrize("verb", ["FETCH", "AUTH"])
+    def test_fetch_writes_nothing(self, server, monkeypatch, verb):
         calls = []
 
         def spy(owner, name):
@@ -887,12 +912,68 @@ class TestGroupTable:
         c = client(server)
         try:
             assert c.create("g", 9, 4, 3) == "OK g 9"
+            if verb == "AUTH":
+                for m in (1, 2):
+                    assert c.submit("g", m, pbm_payload(c.fetch("g", m)[1])) == f"ACCEPTED {m}"
             monkeypatch.setattr(cas, "save_record", spy(cas, "save_record"))
             monkeypatch.setattr(cas.Path, "write_bytes", spy(cas.Path, "write_bytes"))
-            payloads = [c.fetch("g", m)[1] for m in range(1, 10)]
+            if verb == "FETCH":
+                for m in range(1, 10):
+                    assert c.fetch("g", m)[0].startswith(f"SHARE g {m} ")
+            else:
+                assert c.auth("g") == "GRANTED g"
             assert calls == []
             # the spies see the writes of a SUBMIT
-            assert c.submit("g", 1, pbm_payload(payloads[0])) == "ACCEPTED 1"
+            assert c.submit("g", 1, pbm_payload(c.fetch("g", 1)[1])).startswith("ACCEPTED ")
             assert calls == ["write_bytes", "save_record", "write_bytes"]
         finally:
             c.close()
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["share", "record"])
+    def test_failed_create_leaves_nothing(self, tmp_path, model, monkeypatch, failing):
+        """A CREATE whose first save fails (here its first share write or its
+        record write, each torn) answers `ERR internal` and leaves no group,
+        in the table or on disk; a FETCH that was waiting for the save
+        answers `ERR unknowngroup`, and a retried CREATE succeeds."""
+        state_dir = tmp_path / "state"
+        write_bytes, writes, gets = cas.Path.write_bytes, [], []
+        with serving(state_dir, model) as srv:
+            waiter = client(srv, timeout=10.0)
+            get = srv.cas_state.get
+
+            def counting_get(gid):
+                gets.append(gid)
+                return get(gid)
+
+            def failing_write(path, data):
+                writes.append(path.name)
+                if len(writes) < failing:
+                    return write_bytes(path, data)
+                waiter.sock.sendall(b"FETCH g 1\n")  # finds the record, waits for its lock
+                assert wait_until(lambda: len(gets) == 2)  # CREATE's lookup, then FETCH's
+                time.sleep(0.05)
+                _fail_after(10)(path, data)
+
+            monkeypatch.setattr(srv.cas_state, "get", counting_get)
+            monkeypatch.setattr(cas.Path, "write_bytes", failing_write)
+            c = client(srv)
+            try:
+                assert c.create("g", 2, 4, 1).startswith("ERR internal")
+            finally:
+                c.close()
+            monkeypatch.undo()
+            assert writes[-1] == ("share_1.pbm", "share_2.pbm", "record.txt")[failing - 1]
+            try:
+                assert waiter.rfile.readline().startswith(b"ERR unknowngroup")
+            finally:
+                waiter.close()
+            assert list(state_dir.iterdir()) == []
+            assert cas.CasState(state_dir, model).get("g") is None
+            c = client(srv)
+            try:
+                assert c.fetch("g", 1)[0].startswith("ERR unknowngroup")
+                assert c.create("g", 2, 4, 1) == "OK g 2"
+            finally:
+                c.close()
+        rec = cas.create_group("g", 2, 4, 1)
+        assert cas.CasState(state_dir, model).get("g").shares == rec.shares

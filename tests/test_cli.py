@@ -268,3 +268,22 @@ class TestServiceClient:
         assert (code, out) == (1, "")
         assert err.startswith("error: the server closed the connection")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,reply", [
+        (["create", "h", "5", "4", "1"], "ERR badscheme"),
+        (["fetch", "nope", "1", "--out", "s1.pbm"], "ERR unknowngroup"),
+        (["submit", "grp", "1", "bad.pbm"], "ERR badpbm"),
+        (["auth", "nope"], "ERR unknowngroup"),
+        (["auth", "grp"], "DENIED grp InsufficientShares"),
+    ], ids=["create-ERR", "fetch-ERR", "submit-ERR", "auth-ERR", "auth-DENIED"])
+    def test_refusal_exits_1(self, capsys, tmp_path, model, monkeypatch, argv, reply):
+        """The reply is printed as it is, and a refusal exits 1."""
+        monkeypatch.chdir(tmp_path)
+        Path("bad.pbm").write_bytes(b"not a pbm")
+        with serving(tmp_path / "state", model) as srv:
+            port = str(srv.server_address[1])
+            assert run(capsys, "create", "--port", port, "grp", "2", "4", "1")[0] == 0
+            code, out, err = run(capsys, argv[0], "--port", port, *argv[1:])
+        assert (code, err) == (1, "")
+        assert out.startswith(reply)
+        assert not Path("s1.pbm").exists()
