@@ -9,7 +9,6 @@ through the denoise/segment/classify pipeline and compares strings.
 from __future__ import annotations
 
 import logging
-import os
 import re
 import shutil
 import socket
@@ -40,8 +39,6 @@ DENIED = "Denied"
 INSUFFICIENT_SHARES = "InsufficientShares"
 DIMENSION_MISMATCH = "DimensionMismatch"
 KEY_MISMATCH = "KeyMismatch"
-UNKNOWN_GROUP = "UnknownGroup"
-UNKNOWN_MEMBER = "UnknownMember"
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class GroupRecord:
     key: str
     params: vcs.SchemeParams
     shares: tuple  # n canonical P4 files (`write_pbm(share, "P4")`), index 0 is member 1
-    submissions: dict = field(default_factory=dict)  # member index -> BitImage
+    submissions: dict = field(default_factory=dict)  # member index -> canonical P4 file
     version: int = 0  # of the next save_record, which picks its record file
     # held by every request that reads or changes the group, and by CREATE until its first save
     lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
@@ -67,9 +64,10 @@ class GroupRecord:
         """(height, width) of every share, from the first share's header."""
         return _p4_shape(self.shares[0])
 
-    def share(self, member: int) -> BitImage:
-        """Member `member`'s share (1-based), unpacked."""
-        return read_pbm(self.shares[member - 1])
+
+def _canonical_p4(data: bytes) -> bytes:
+    """Any PBM `read_pbm` accepts, as the canonical P4 file `write_pbm` makes."""
+    return write_pbm(read_pbm(data), "P4")
 
 
 def _p4_shape(data: bytes) -> tuple:
@@ -146,9 +144,9 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     subs = record.submissions
     if len(subs) < 2:
         return AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    if any(img.a.shape != record.shape for img in subs.values()):
+    if any(_p4_shape(s) != record.shape for s in subs.values()):
         return AuthDecision(DENIED, DIMENSION_MISMATCH)
-    decoded = decode_string(vcs.reconstruct(list(subs.values())), model, record.params)
+    decoded = decode_string(vcs.reconstruct(map(read_pbm, subs.values())), model, record.params)
     return (AuthDecision(GRANTED) if decoded == record.key
             else AuthDecision(DENIED, KEY_MISMATCH, decoded))
 
@@ -162,80 +160,86 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
 # one with the higher version. Renaming a new file over a single record file
 # would do the same, but on ext4 it made each save about 0.6 ms slower, a
 # cost that every SUBMIT and RESET, which save the record once, would pay.
+# Each version holds every submission, so at the limits (n = 33, 16-character
+# key, all 33 held) a SUBMIT rewrites 9.4 MB: 5-7 ms on ext4, against 0.7-0.8
+# ms with a file per submission. Held packed, they take 9.4 MB, not 75 MB.
 # No fsync: this survives a crash of the process, not a power loss.
 RECORD_FILES = ("record.txt", "record.1.txt")
 
 
-def save_record(record: GroupRecord, state_dir) -> None:
-    """Write the group's next record version, ending with its `version`
-    line; the first save (version 0, from `CREATE`) first makes the group
-    directory and its share files. Submission files are written only by
-    `save_submission`."""
+def save_record(record: GroupRecord, state_dir, submissions=None) -> None:
+    """Write the group's next record version: `key` and `scheme` lines, per
+    member in `submissions` (default: the record's own) a `submission <member>
+    <nbytes>` line and its P4 bytes, then the `version` line. The record holds
+    `submissions` only once they are written. The first save (version 0, from
+    `CREATE`) first makes the group directory and its share files."""
+    submissions = record.submissions if submissions is None else submissions
     gdir = Path(state_dir) / record.group_id
     if record.version == 0:  # shares first: a group with a record has its shares
         gdir.mkdir(parents=True, exist_ok=True)
         for i, share in enumerate(record.shares, start=1):
             (gdir / f"share_{i}.pbm").write_bytes(share)
-    lines = [
-        f"key {record.key}",
-        f"scheme {vcs.format_scheme(record.params)}",
-        f"submitted {' '.join(str(i) for i in sorted(record.submissions))}".rstrip(),
-        f"version {record.version}",  # last: a torn save lacks it or its newline
-    ]
-    (gdir / RECORD_FILES[record.version % 2]).write_bytes(("\n".join(lines) + "\n").encode())
+    data = [f"key {record.key}\nscheme {vcs.format_scheme(record.params)}\n".encode()]
+    for member, share in sorted(submissions.items()):
+        data += [f"submission {member} {len(share)}\n".encode(), share]
+    data.append(f"version {record.version}\n".encode())  # last: a torn save lacks it
+    (gdir / RECORD_FILES[record.version % 2]).write_bytes(b"".join(data))
+    record.submissions = submissions
     record.version += 1
 
 
-def save_submission(record: GroupRecord, member: int, state_dir) -> None:
-    """Persist one member's submission, then the record that lists it. The
-    submission is written to a temporary file renamed over the old one, so a
-    crash leaves one of them whole; `RESET` deletes submissions, so the
-    rename seldom replaces a file and costs little."""
-    path = Path(state_dir) / record.group_id / f"submission_{member}.pbm"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(write_pbm(record.submissions[member], "P4"))
-    os.replace(tmp, path)
-    save_record(record, state_dir)
-
-
 def _read_whole(path: Path):
-    """The fields of a record file, or None if its save was torn: a whole
-    version ends with a newline, and its last line is its `version` line or,
-    in records earlier versions wrote, a `status` line."""
-    lines = path.read_text().split("\n")
-    if len(lines) < 2 or lines[-1] or lines[-2].partition(" ")[0] not in ("version", "status"):
+    """A record file's fields and (member, P4 bytes) submissions, or None if
+    its save was torn: a whole version ends at the end of the file, after its
+    `version` line or, as earlier versions wrote it, a `status` line. Each
+    submission's bytes are stepped over by their count, never read as lines."""
+    data = path.read_bytes()
+    fields, submissions, pos, name = {}, [], 0, ""
+    while pos < len(data) and (end := data.find(b"\n", pos)) >= 0:
+        name, _, value = data[pos:end].decode().partition(" ")
+        pos = end + 1
+        if name == "submission":
+            member, nbytes = map(int, value.split())
+            if nbytes < 0:
+                raise ValueError(f"submission {member} has negative size {nbytes}")
+            submissions.append((member, data[pos : pos + nbytes]))
+            pos += nbytes
+        else:
+            fields[name] = value
+    if pos != len(data) or name not in ("version", "status"):
         return None
-    return dict(line.partition(" ")[::2] for line in lines[:-1])
+    return fields, submissions
 
 
 def load_record(group_id: str, state_dir) -> GroupRecord:
     """Read the newest whole version of a group saved by `save_record`;
     KeyError if no version is whole or its key or scheme line is missing,
-    ValueError if its submitted members are invalid or its scheme fields or
-    share sizes are inconsistent. Lines it does not read, some of which
-    earlier versions wrote, are ignored."""
+    ValueError if its members are not distinct in 1..n, a share or submission
+    is not a PBM, or its scheme or share sizes are inconsistent. Unread lines
+    are ignored. Earlier versions list members on a `submitted` line and keep
+    each submission in `submission_<i>.pbm`, which nothing deletes: a torn
+    first save in this format falls back to such a version."""
     gdir = Path(state_dir) / group_id
     saved = (_read_whole(gdir / name) for name in RECORD_FILES if (gdir / name).exists())
-    whole = [f for f in saved if f is not None]
+    whole = [v for v in saved if v is not None]
     if not whole:
         raise KeyError(f"no whole record version in {group_id}")
-    fields = max(whole, key=lambda f: int(f.get("version", 0)))
+    fields, inline = max(whole, key=lambda v: int(v[0].get("version", 0)))
     params = vcs.parse_scheme(fields["scheme"].split())
-    # any PBM read_pbm accepts, held in the canonical form save_record writes
-    shares = tuple(write_pbm(read_pbm((gdir / f"share_{i}.pbm").read_bytes()), "P4")
+    shares = tuple(_canonical_p4((gdir / f"share_{i}.pbm").read_bytes())
                    for i in range(1, params.n + 1))
     h, w = _p4_shape(shares[0])
     if (any(_p4_shape(s) != (h, w) for s in shares)
             or h % params.block_h or w % params.block_w):
         raise ValueError(f"shares differ in size or do not tile into {params.m}-subpixel blocks")
-    submitted = [int(v) for v in fields.get("submitted", "").split()]
-    if len(set(submitted)) != len(submitted) or not all(1 <= i <= params.n for i in submitted):
-        raise ValueError(f"submitted members {submitted} are not distinct in 1..{params.n}")
-    record = GroupRecord(group_id, fields["key"], params, shares,
-                         version=int(fields.get("version", 0)) + 1)
-    for i in submitted:
-        record.submissions[i] = read_pbm((gdir / f"submission_{i}.pbm").read_bytes())
-    return record
+    legacy = [int(v) for v in fields.get("submitted", "").split()]
+    members = [m for m, _ in inline] + legacy
+    if len(set(members)) != len(members) or not all(1 <= i <= params.n for i in members):
+        raise ValueError(f"submitted members {members} are not distinct in 1..{params.n}")
+    inline += [(i, (gdir / f"submission_{i}.pbm").read_bytes()) for i in legacy]
+    return GroupRecord(group_id, fields["key"], params, shares,
+                       {m: _canonical_p4(data) for m, data in inline},
+                       version=int(fields.get("version", 0)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +385,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "SUBMIT":
             try:
-                img = read_pbm(data)
+                share = _canonical_p4(data)
             except ValueError as e:
                 raise ProtocolError("badpbm", str(e))
 
@@ -396,9 +400,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return f"SHARE {gid} {member} {len(payload)}", payload
 
             if cmd == "SUBMIT":
-                member = nums[0]
-                record.submissions[member] = img
-                save_submission(record, member, state.state_dir)
+                save_record(record, state.state_dir, {**record.submissions, nums[0]: share})
                 return f"ACCEPTED {len(record.submissions)}", b""
 
             if cmd == "AUTH":
@@ -408,11 +410,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return f"DENIED {gid} {decision.reason}", b""
 
             # RESET, the one verb left
-            record.submissions.clear()
-            # the record first: a crash between leaves unlisted files, not missing ones
-            save_record(record, state.state_dir)
-            for p in (state.state_dir / gid).glob("submission_*"):  # *.tmp too
-                p.unlink()
+            save_record(record, state.state_dir, {})
             return "OK", b""
 
 

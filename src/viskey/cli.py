@@ -229,8 +229,7 @@ def _demo(args) -> int:
     print(f"shares: {params.n} of {w}x{h}")
     model = classify.train_model(font.corpus())
     print(f"model: {len(model.samples)} samples")
-    record.submissions[1] = record.share(1)
-    record.submissions[2] = record.share(2)
+    record.submissions = {1: record.shares[0], 2: record.shares[1]}
     decision = cas.authenticate(record, model)
     if decision.outcome == cas.GRANTED:
         print("AUTH: GRANTED")

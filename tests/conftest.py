@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from viskey import classify, font
 from viskey.bitimage import BitImage
@@ -25,3 +26,11 @@ def random_image(rng, w, h, density=0.5):
 def model():
     """The recognition model, trained on the corpus glyphs; it serves every scheme."""
     return classify.train_model(font.corpus())
+
+
+# Every Hypothesis test sets its own example count except the protocol state
+# machine in test_cas.py, which runs the profile's: a few in Tier-1, more with
+# `pytest --hypothesis-profile protocol`.
+settings.register_profile("tier1", max_examples=10)
+settings.register_profile("protocol", max_examples=300)
+settings.load_profile("tier1")

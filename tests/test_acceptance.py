@@ -246,11 +246,11 @@ def _pair_trials(n, model, trials, seed0):
         rec = cas.create_group(f"g{n}_{trial}", n, 6, seed0 + trial)
         records.append(rec)
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            rec.submissions = {i: rec.share(i), j: rec.share(j)}
+            rec.submissions = {i: rec.shares[i - 1], j: rec.shares[j - 1]}
             granted += cas.authenticate(rec, model).outcome == cas.GRANTED
             total += 1
         for i in range(1, n + 1):
-            rec.submissions = {i: rec.share(i)}
+            rec.submissions = {i: rec.shares[i - 1]}
             d = cas.authenticate(rec, model)
             singles_ok += (d.outcome, d.reason) == (cas.DENIED, cas.INSUFFICIENT_SHARES)
             singles_n += 1
@@ -260,7 +260,7 @@ def _pair_trials(n, model, trials, seed0):
         ra, rb = records[a], records[b]
         if ra.key == rb.key:
             continue
-        ra.submissions = {1: ra.share(1), 2: rb.share(2)}
+        ra.submissions = {1: ra.shares[0], 2: rb.shares[1]}
         d = cas.authenticate(ra, model)
         cross_ok += (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
         cross_n += 1

@@ -1,15 +1,23 @@
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import logging
 import socket
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
+                                 run_state_machine_as_test)
 
 from conftest import blank
 from viskey import cas, denoise, vcs
@@ -65,7 +73,7 @@ class TestCreateGroup:
         assert len(rec.shares) == 2
         assert len(rec.key) == 4
         # every 1x2 share block has exactly one black subpixel
-        for sh in map(rec.share, (1, 2)):
+        for sh in map(read_pbm, rec.shares):
             pairs = sh.a.reshape(sh.height, -1, 2).sum(axis=2)
             assert np.all(pairs == 1)
 
@@ -73,8 +81,7 @@ class TestCreateGroup:
         rec = cas.create_group("g", 9, 3, 2)
         secret = cas.render_key_image(rec.key)
         assert len(rec.shares) == 9
-        assert rec.share(1).height == secret.height * 2
-        assert rec.share(1).width == secret.width * 3
+        assert rec.shape == (secret.height * 2, secret.width * 3)
 
     def test_distinct_keys(self):
         a = cas.create_group("g", 2, 6, 10)
@@ -104,7 +111,7 @@ class TestCreateGroup:
 class TestAuthenticate:
     def test_granted(self, model):
         rec = cas.create_group("g", 2, 4, 30)
-        rec.submissions = {1: rec.share(1), 2: rec.share(2)}
+        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
         before = dataclasses.replace(rec, submissions=dict(rec.submissions))
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
@@ -116,26 +123,26 @@ class TestAuthenticate:
 
         monkeypatch.setattr(denoise, "_window_filter", no_window)
         rec = cas.create_group("g", 9, 5, 35)
-        rec.submissions = {i: rec.share(i) for i in (1, 2, 3)}
+        rec.submissions = {i: rec.shares[i - 1] for i in (1, 2, 3)}
         d = cas.authenticate(rec, model)
         assert d.outcome == cas.GRANTED and d.reason == ""
 
     def test_insufficient(self, model):
         rec = cas.create_group("g", 2, 4, 31)
-        rec.submissions = {1: rec.share(1)}
+        rec.submissions = {1: rec.shares[0]}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.INSUFFICIENT_SHARES)
 
     def test_dimension_mismatch(self, model):
         rec = cas.create_group("g", 2, 4, 32)
-        rec.submissions = {1: rec.share(1), 2: blank(8, 8)}
+        rec.submissions = {1: rec.shares[0], 2: write_pbm(blank(8, 8), "P4")}
         d = cas.authenticate(rec, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.DIMENSION_MISMATCH)
 
     def test_cross_group_mismatch(self, model):
         a = cas.create_group("a", 2, 4, 33)
         b = cas.create_group("b", 2, 4, 34)
-        a.submissions = {1: a.share(1), 2: b.share(2)}
+        a.submissions = {1: a.shares[0], 2: b.shares[1]}
         d = cas.authenticate(a, model)
         assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
         assert d.decoded != a.key
@@ -144,16 +151,14 @@ class TestAuthenticate:
 class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
         rec = cas.create_group("grp", 9, 4, 40)
-        rec.submissions = {1: rec.share(1), 3: rec.share(3)}
+        rec.submissions = {1: rec.shares[0], 3: rec.shares[2]}
         cas.save_record(rec, tmp_path)
-        for member in rec.submissions:
-            cas.save_submission(rec, member, tmp_path)
         loaded = cas.load_record("grp", tmp_path)
         assert loaded.key == rec.key
         assert loaded.params == rec.params
         assert loaded.shares == rec.shares
         assert set(loaded.submissions) == {1, 3}
-        assert loaded.submissions[1] == rec.share(1)
+        assert loaded.submissions[1] == rec.shares[0]
 
     def test_later_saves_write_only_the_record(self, tmp_path, monkeypatch):
         rec = cas.create_group("grp", 9, 4, 46)
@@ -172,7 +177,7 @@ class TestRecordPersistence:
 
         for name in ("exists", "mkdir", "write_bytes"):
             monkeypatch.setattr(cas.Path, name, spy(name))
-        cas.save_record(rec, tmp_path)
+        cas.save_record(rec, tmp_path, {1: rec.shares[0]})  # a SUBMIT's save
         assert calls == [("write_bytes", "record.1.txt")]
         monkeypatch.undo()
         assert cas.load_record("grp", tmp_path).shares == rec.shares
@@ -182,7 +187,7 @@ class TestRecordPersistence:
         rec = cas.create_group("grp", 9, 2, 41)
         cas.save_record(rec, tmp_path)
         gdir = tmp_path / "grp"
-        h, w = rec.share(1).a.shape
+        h, w = rec.shape
         record_txt = (gdir / "record.txt").read_text()
         assert "scheme 2ofn 3 9 6 2 3\n" in record_txt
         if damage == "swapped-block":
@@ -203,14 +208,14 @@ class TestRecordPersistence:
         rec = cas.create_group("old", 9, 4, 42)
         gdir = tmp_path / "old"
         gdir.mkdir()
-        h, w = rec.share(1).a.shape
+        h, w = rec.shape
         (gdir / "record.txt").write_text(
             f"key {rec.key}\nscheme 2ofn 3 9 6 2 3\nsecret {w // 3} {h // 2}\n"
             "issued 2 5\nsubmitted 2 5\nstatus Pending\n")
         for i in range(1, 10):
-            (gdir / f"share_{i}.pbm").write_bytes(write_pbm(rec.share(i), "P4"))
+            (gdir / f"share_{i}.pbm").write_bytes(rec.shares[i - 1])
         for i in (2, 5):
-            (gdir / f"submission_{i}.pbm").write_bytes(write_pbm(rec.share(i), "P4"))
+            (gdir / f"submission_{i}.pbm").write_bytes(rec.shares[i - 1])
         loaded = cas.load_record("old", tmp_path)
         assert (loaded.key, loaded.params) == (rec.key, rec.params)
         assert loaded.shares == rec.shares
@@ -283,8 +288,8 @@ class TestRecordPersistence:
             rows[:, -1] |= 0x0F
             data = canonical[:body_start] + rows.tobytes()
         else:
-            data = write_pbm(rec.share(2), "P1")
-        assert data != canonical and read_pbm(data) == rec.share(2)
+            data = write_pbm(read_pbm(rec.shares[1]), "P1")
+        assert data != canonical and read_pbm(data) == read_pbm(rec.shares[1])
         path.write_bytes(data)
         assert cas.load_record("grp", tmp_path).shares == rec.shares
         with serving(tmp_path, model) as srv:
@@ -315,38 +320,62 @@ def _fail_after(k):
     return write_bytes
 
 
-def _raise_oserror(*args, **kwargs):
-    raise OSError("simulated crash")
-
-
 class TestCrashConsistency:
     def _saved_group(self, state_dir):
+        """Versions 0 (CREATE), 1 (member 1) and 2 (members 1 and 2)."""
         rec = cas.create_group("grp", 9, 4, 43)
-        rec.submissions = {1: rec.share(1), 2: rec.share(2)}
         cas.save_record(rec, state_dir)
-        cas.save_submission(rec, 1, state_dir)
-        cas.save_submission(rec, 2, state_dir)
+        cas.save_record(rec, state_dir, {1: rec.shares[0]})
+        cas.save_record(rec, state_dir, {1: rec.shares[0], 2: rec.shares[1]})
         return rec
 
-    @pytest.mark.parametrize("k", [0, 1, 40, 59])
+    # each save starts with 31 bytes of key and scheme lines and an 18-byte
+    # `submission 1 3898` line: k = 40 tears that line, k = 59 and 1000 the
+    # submission's bytes, and k = -1 the newline of the last line, `version 3`
+    @pytest.mark.parametrize("k", [0, 1, 40, 59, 1000, -1])
     @pytest.mark.parametrize("write", ["record", "submission"])
     def test_torn_write_keeps_old_record(self, tmp_path, model, monkeypatch, k, write):
         rec = self._saved_group(tmp_path)
         monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(k))
         with pytest.raises(OSError, match="simulated"):
             if write == "record":
-                # a 61-byte save whose last line, `version 3`, starts at byte 51:
-                # k = 59 tears it inside that line
-                rec.submissions = {i: rec.share(i) for i in range(1, 6)}
-                cas.save_record(rec, tmp_path)
-            else:
-                rec.submissions[2] = rec.share(9)
-                cas.save_submission(rec, 2, tmp_path)
+                cas.save_record(rec, tmp_path, {i: rec.shares[i - 1] for i in range(1, 6)})
+            else:  # a SUBMIT that replaces member 2's submission
+                cas.save_record(rec, tmp_path, {**rec.submissions, 2: rec.shares[8]})
         monkeypatch.undo()
         loaded = cas.CasState(tmp_path, model).get("grp")
         assert loaded is not None
         assert (loaded.key, loaded.params) == (rec.key, rec.params)
-        assert loaded.submissions == {1: rec.share(1), 2: rec.share(2)}
+        assert loaded.submissions == rec.submissions == {1: rec.shares[0], 2: rec.shares[1]}
+
+    @pytest.mark.parametrize("verb", ["SUBMIT", "RESET"])
+    def test_failed_save_changes_nothing(self, tmp_path, model, monkeypatch, verb):
+        """A SUBMIT or RESET whose save fails answers `ERR internal` and
+        leaves the group as it is on disk, before and after a restart."""
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.create("g", 2, 4, 9) == "OK g 2"
+                shares = [pbm_payload(c.fetch("g", m)[1]) for m in (1, 2)]
+                for m in (1, 2) if verb == "RESET" else (1,):
+                    assert c.submit("g", m, shares[m - 1]) == f"ACCEPTED {m}"
+                before = c.auth("g")
+                monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(5))
+                if verb == "SUBMIT":
+                    assert c.submit("g", 2, shares[1]).startswith("ERR internal")
+                else:
+                    assert c.reset("g").startswith("ERR internal")
+            finally:
+                c.close()
+            monkeypatch.undo()
+            for restart in (False, True):
+                with serving(state_dir, model) if restart else contextlib.nullcontext(srv) as s:
+                    c = client(s)
+                    try:
+                        assert c.auth("g") == before, restart
+                    finally:
+                        c.close()
 
     def test_crash_during_reset_keeps_group(self, tmp_path, model, monkeypatch):
         state_dir = tmp_path / "state"
@@ -354,88 +383,150 @@ class TestCrashConsistency:
             c = client(srv)
             try:
                 assert c.create("g", 2, 4, 7) == "OK g 2"
+                shares = {m: pbm_payload(c.fetch("g", m)[1]) for m in (1, 2)}
                 for m in (1, 2):
-                    assert c.submit("g", m, pbm_payload(c.fetch("g", m)[1])) == f"ACCEPTED {m}"
-                unlink = cas.Path.unlink
-
-                def unlink_once(path, missing_ok=False):  # then the process dies
-                    monkeypatch.setattr(cas.Path, "unlink", _raise_oserror)
-                    unlink(path, missing_ok)
-
-                monkeypatch.setattr(cas.Path, "unlink", unlink_once)
+                    assert c.submit("g", m, shares[m]) == f"ACCEPTED {m}"
+                monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(40))
                 assert c.reset("g").startswith("ERR internal")
             finally:
                 c.close()
         monkeypatch.undo()
         loaded = cas.CasState(state_dir, model).get("g")
         assert loaded is not None
-        assert loaded.submissions == {}
+        assert loaded.submissions == shares
 
     def test_reset_removes_torn_submission(self, tmp_path, model, monkeypatch):
+        """A torn SUBMIT leaves only the shares and the two record files, and
+        the next RESET rewrites the torn one whole."""
         state_dir = tmp_path / "state"
+        gdir = state_dir / "g"
         with serving(state_dir, model) as srv:
             c = client(srv)
             try:
                 assert c.create("g", 2, 4, 8) == "OK g 2"
                 share = pbm_payload(c.fetch("g", 1)[1])
-                monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(10))
+                monkeypatch.setattr(cas.Path, "write_bytes", _fail_after(60))
                 assert c.submit("g", 1, share).startswith("ERR internal")
             finally:
                 c.close()
             monkeypatch.undo()
-            gdir = state_dir / "g"
-            assert [p.name for p in gdir.glob("submission_*")] == ["submission_1.pbm.tmp"]
+            files = ["record.1.txt", "record.txt", "share_1.pbm", "share_2.pbm"]
+            assert sorted(p.name for p in gdir.iterdir()) == files
+            assert cas._read_whole(gdir / "record.1.txt") is None
             c = client(srv)
             try:
                 assert c.reset("g") == "OK"
             finally:
                 c.close()
-            assert list(gdir.glob("submission_*")) == []
+        assert sorted(p.name for p in gdir.iterdir()) == files
+        fields, submissions = cas._read_whole(gdir / "record.1.txt")  # whole again
+        assert (fields["version"], submissions) == ("1", [])
 
     def test_torn_record_falls_back_or_fails(self, tmp_path):
-        rec = cas.create_group("grp", 9, 4, 44)
+        rec = cas.create_group("grp", 2, 1, 44)
+        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
         cas.save_record(rec, tmp_path)  # version 0, in record.txt
         path = tmp_path / "grp" / "record.txt"
         full = path.read_bytes()
-        assert full.endswith(b"\nsubmitted\nversion 0\n")
+        assert full.endswith(b"\n" + rec.shares[1] + b"version 0\n")
         # the only version: every proper prefix fails to load
         for k in range(len(full)):
             path.write_bytes(full[:k])
             with pytest.raises((KeyError, ValueError)):
                 cas.load_record("grp", tmp_path)
         path.write_bytes(full)
-        rec.submissions[1] = rec.share(1)
-        cas.save_submission(rec, 1, tmp_path)  # version 1, in record.1.txt
+        cas.save_record(rec, tmp_path, {2: rec.shares[1]})  # version 1, in record.1.txt
         newer = tmp_path / "grp" / "record.1.txt"
         full = newer.read_bytes()
-        assert full.endswith(b"\nsubmitted 1\nversion 1\n")
+        assert full.endswith(b"\nsubmission 2 %d\n" % len(rec.shares[1]) + rec.shares[1]
+                             + b"version 1\n")
         # with version 1 torn, version 0 loads whole
         for k in range(len(full)):
             newer.write_bytes(full[:k])
             loaded = cas.load_record("grp", tmp_path)
-            assert (loaded.submissions, loaded.version) == ({}, 1)
+            assert (loaded.submissions, loaded.version) == (
+                {1: rec.shares[0], 2: rec.shares[1]}, 1)
         newer.write_bytes(full)
         loaded = cas.load_record("grp", tmp_path)
-        assert (loaded.submissions, loaded.version) == ({1: rec.share(1)}, 2)
+        assert (loaded.submissions, loaded.version) == ({2: rec.shares[1]}, 2)
 
-    @pytest.mark.parametrize("line,value", [("submitted", "2 10"), ("submitted", "1 1")])
+    @pytest.mark.parametrize("line,value", [("submitted", "2 10"), ("submitted", "1 1"),
+                                            ("submission", "0"), ("submission", "10"),
+                                            ("submission", "1 1")])
     def test_bad_status_or_members_rejected(self, tmp_path, line, value):
+        """Members out of 1..n or repeated, listed as earlier versions did (no
+        submission file is needed to reject them) or inline."""
         rec = cas.create_group("grp", 9, 4, 45)
         cas.save_record(rec, tmp_path)
         path = tmp_path / "grp" / "record.txt"
-        lines = [f"{line} {value}" if ln.partition(" ")[0] == line else ln
-                 for ln in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
+        if line == "submitted":
+            members = f"submitted {value}\n".encode()
+        else:
+            members = b"".join(b"submission %s %d\n" % (m.encode(), len(rec.shares[0]))
+                               + rec.shares[0] for m in value.split())
+        path.write_bytes(path.read_bytes().replace(b"version 0", members + b"version 0"))
         with pytest.raises(ValueError):
             cas.load_record("grp", tmp_path)
+
+    def test_status_line_torn_reads_as_torn(self, tmp_path):
+        """A version as earlier versions wrote it, torn inside its last line,
+        the `status` line, is torn: the older version loads."""
+        rec = cas.create_group("grp", 2, 4, 53)
+        cas.save_record(rec, tmp_path)
+        gdir = tmp_path / "grp"
+        head = f"key {rec.key}\nscheme 2of2 0 2 2 1 2\n"
+        (gdir / "record.txt").write_text(head + "version 2\nstatus Pending\n")
+        (gdir / "record.1.txt").write_text(head + "version 3\nstatus Gra")
+        assert cas.load_record("grp", tmp_path).version == 3
+
+    def test_negative_submission_size_rejected(self, tmp_path):
+        rec = cas.create_group("grp", 2, 4, 45)
+        cas.save_record(rec, tmp_path)
+        path = tmp_path / "grp" / "record.txt"
+        path.write_bytes(path.read_bytes().replace(b"version", b"submission 1 -20\nversion"))
+        with pytest.raises(ValueError):
+            cas.load_record("grp", tmp_path)
+
+    def test_record_from_file_per_submission_layout(self, tmp_path):
+        """A group as earlier versions left it, its two versions listing
+        members on a `submitted` line with a file per submission: its first
+        save in the inline layout, torn, falls back to the newer of them;
+        whole, it loads; the next save, torn, falls back to it. The
+        submission files stay throughout."""
+        rec = cas.create_group("grp", 9, 4, 52)
+        cas.save_record(rec, tmp_path)
+        gdir = tmp_path / "grp"
+        head = f"key {rec.key}\nscheme 2ofn 3 9 6 2 3\n"
+        (gdir / "record.txt").write_text(head + "issued 1 1\nsubmitted 1 2\nversion 2\n")
+        (gdir / "record.1.txt").write_text(head + "submitted 1\nversion 1\n")
+        legacy = {}
+        for i in (1, 2):
+            legacy[f"submission_{i}.pbm"] = write_pbm(read_pbm(rec.shares[i - 1]), "P1")
+            (gdir / f"submission_{i}.pbm").write_bytes(legacy[f"submission_{i}.pbm"])
+        both = {1: rec.shares[0], 2: rec.shares[1]}
+        steps = [(_fail_after(30), {**both, 3: rec.shares[2]}, both, 3),
+                 (None, {**both, 3: rec.shares[2]}, {**both, 3: rec.shares[2]}, 4),
+                 (_fail_after(20), {}, {**both, 3: rec.shares[2]}, 4)]
+        for write, submissions, expected, version in steps:
+            loaded = cas.load_record("grp", tmp_path)
+            if write:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cas.Path, "write_bytes", write)
+                    with pytest.raises(OSError, match="simulated"):
+                        cas.save_record(loaded, tmp_path, submissions)
+            else:
+                cas.save_record(loaded, tmp_path, submissions)
+            loaded = cas.load_record("grp", tmp_path)
+            assert (loaded.submissions, loaded.version) == (expected, version)
+            assert {name: (gdir / name).read_bytes() for name in legacy} == legacy
 
 
 @contextlib.contextmanager
 def serving(state_dir, model):
     """A CasServer for state_dir on a free port, stopped on exit; it polls
-    for shutdown every 50 ms."""
+    for shutdown every 10 ms."""
     srv = cas.CasServer(("127.0.0.1", 0), cas.CasState(state_dir, model))
-    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05},
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01},
                               daemon=True)
     thread.start()
     try:
@@ -508,7 +599,7 @@ class TestProtocol:
             c.close()
 
     def test_auth_writes_no_pbm(self, server, monkeypatch):
-        """SUBMIT writes its own submission file; AUTH writes nothing."""
+        """SUBMIT packs its payload once; AUTH packs nothing."""
         written = []
         write_pbm_unpatched = cas.write_pbm
 
@@ -916,16 +1007,18 @@ class TestGroupTable:
                 for m in (1, 2):
                     assert c.submit("g", m, pbm_payload(c.fetch("g", m)[1])) == f"ACCEPTED {m}"
             monkeypatch.setattr(cas, "save_record", spy(cas, "save_record"))
-            monkeypatch.setattr(cas.Path, "write_bytes", spy(cas.Path, "write_bytes"))
+            for name in ("write_bytes", "rename", "replace", "unlink"):
+                monkeypatch.setattr(cas.Path, name, spy(cas.Path, name))
             if verb == "FETCH":
                 for m in range(1, 10):
                     assert c.fetch("g", m)[0].startswith(f"SHARE g {m} ")
             else:
                 assert c.auth("g") == "GRANTED g"
             assert calls == []
-            # the spies see the writes of a SUBMIT
+            # the spies see the one write of a SUBMIT, then of a RESET
             assert c.submit("g", 1, pbm_payload(c.fetch("g", 1)[1])).startswith("ACCEPTED ")
-            assert calls == ["write_bytes", "save_record", "write_bytes"]
+            assert c.reset("g") == "OK"
+            assert calls == ["save_record", "write_bytes"] * 2
         finally:
             c.close()
 
@@ -977,3 +1070,176 @@ class TestGroupTable:
                 c.close()
         rec = cas.create_group("g", 2, 4, 1)
         assert cas.CasState(state_dir, model).get("g").shares == rec.shares
+
+
+GIDS = ("a", "b", "c")
+SUBMIT_KINDS = ("own", "foreign", "junk", "wrongsize")
+
+
+class ProtocolMachine(RuleBasedStateMachine):
+    """Random requests and restarts against a real server; `self.groups`
+    predicts every reply. Each group maps to the record `create_group` makes
+    in-process and to the kind of share each member submitted."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+        self.tmp = tempfile.TemporaryDirectory()
+        self.servers = contextlib.ExitStack()
+        self.groups = {}  # gid -> (record, {member: kind})
+        self._start()
+
+    def _start(self):
+        self.srv = self.servers.enter_context(serving(Path(self.tmp.name), self.model))
+        self.c = client(self.srv, timeout=10.0)
+
+    def teardown(self):
+        self.c.close()
+        self.servers.close()
+        self.tmp.cleanup()
+
+    def _target(self, data, with_member=True):
+        """A group id, mostly of an existing group, and a member, mostly in range."""
+        gid = data.draw(st.sampled_from(sorted(self.groups) or GIDS) | st.sampled_from(GIDS))
+        n = self.groups[gid][0].params.n if gid in self.groups else 2
+        return gid, data.draw(st.integers(0, n + 1)) if with_member else None
+
+    def _error(self, gid, member=None):
+        """The error a request for `gid` (and `member`) gets, or None."""
+        if gid not in self.groups:
+            return "ERR unknowngroup"
+        if member is not None and not 1 <= member <= self.groups[gid][0].params.n:
+            return "ERR unknownmember"
+        return None
+
+    def _auth_reply(self, gid):
+        subs = self.groups[gid][1]
+        kinds = set(subs.values())
+        if len(subs) < 2:
+            return f"DENIED {gid} InsufficientShares"
+        if "wrongsize" in kinds:
+            return f"DENIED {gid} DimensionMismatch"
+        return f"GRANTED {gid}" if kinds == {"own"} else f"DENIED {gid} KeyMismatch"
+
+    def _check(self, reply, expected):
+        if expected.startswith("ERR"):
+            assert reply.startswith(expected + " "), (reply, expected)
+        else:
+            assert reply == expected
+
+    @initialize(n=st.sampled_from([2, 9]), key_len=st.integers(1, 3),
+                seed=st.integers(0, 2**16))
+    def first_group(self, n, key_len, seed):
+        self.create("a", n, key_len, seed)
+
+    @rule(gid=st.sampled_from(GIDS), n=st.sampled_from([2, 5, 9]),
+          key_len=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def create(self, gid, n, key_len, seed):
+        reply = self.c.create(gid, n, key_len, seed)
+        if gid in self.groups:
+            self._check(reply, "ERR exists")
+        elif n == 5:
+            self._check(reply, "ERR badscheme")
+        else:
+            self._check(reply, f"OK {gid} {n}")
+            self.groups[gid] = (cas.create_group(gid, n, key_len, seed), {})
+
+    @rule(data=st.data())
+    def fetch(self, data):
+        self._fetch(*self._target(data))
+
+    def _fetch(self, gid, member):
+        reply, payload = self.c.fetch(gid, member)
+        error = self._error(gid, member)
+        if error:
+            self._check(reply, error)
+            return
+        rec = self.groups[gid][0]
+        assert payload == rec.shares[member - 1] + sidecar(rec, member)
+        assert reply == f"SHARE {gid} {member} {len(payload)}"
+
+    def _payload(self, gid, member, kind):
+        if kind == "junk":
+            return b"garbage"
+        if kind == "wrongsize" or self._error(gid, member):
+            return write_pbm(blank(8, 8), "P4")
+        rec = self.groups[gid][0]
+        if kind == "own":
+            return rec.shares[member - 1]
+        other = next(r for s in itertools.count(1)
+                     if (r := cas.create_group("x", rec.params.n, len(rec.key), s)).key != rec.key)
+        return other.shares[member - 1]
+
+    @rule(data=st.data(), kind=st.sampled_from(SUBMIT_KINDS))
+    def submit(self, data, kind):
+        self._submit(*self._target(data), kind)
+
+    @precondition(lambda self: self.groups)
+    @rule(data=st.data())
+    def submit_own(self, data):
+        """A member of an existing group submits its own share."""
+        gid = data.draw(st.sampled_from(sorted(self.groups)))
+        self._submit(gid, data.draw(st.integers(1, self.groups[gid][0].params.n)), "own")
+
+    def _submit(self, gid, member, kind):
+        reply = self.c.submit(gid, member, self._payload(gid, member, kind))
+        error = self._error(gid, member) or ("ERR badpbm" if kind == "junk" else None)
+        if error:
+            self._check(reply, error)
+            return
+        subs = self.groups[gid][1]
+        subs[member] = kind
+        self._check(reply, f"ACCEPTED {len(subs)}")
+
+    @rule(data=st.data())
+    def auth(self, data):
+        self._auth(self._target(data, with_member=False)[0])
+
+    def _auth(self, gid):
+        self._check(self.c.auth(gid), self._error(gid) or self._auth_reply(gid))
+
+    @rule(data=st.data())
+    def reset(self, data):
+        gid = self._target(data, with_member=False)[0]
+        reply = self.c.reset(gid)
+        error = self._error(gid)
+        if not error:
+            self.groups[gid][1].clear()
+        self._check(reply, error or "OK")
+
+    @precondition(lambda self: self.groups)
+    @rule(data=st.data(), verb=st.sampled_from(["SUBMIT", "RESET"]), k=st.integers(0, 4000))
+    def failed_save(self, data, verb, k):
+        """A SUBMIT or RESET whose save is torn after at most k bytes answers
+        `ERR internal`, closes the connection and changes nothing."""
+        gid = data.draw(st.sampled_from(sorted(self.groups)))
+
+        def torn(path, payload):
+            _fail_after(min(k, len(payload) - 1))(path, payload)
+
+        with mock.patch.object(cas.Path, "write_bytes", torn):
+            if verb == "SUBMIT":
+                reply = self.c.submit(gid, 1, self.groups[gid][0].shares[0])
+            else:
+                reply = self.c.reset(gid)
+        assert reply.startswith("ERR internal ")
+        self.c.close()
+        self.c = client(self.srv, timeout=10.0)
+
+    @rule()
+    def restart(self):
+        """A new CasState on the same directory; then every group answers
+        FETCH and AUTH as before."""
+        self.c.close()
+        self.servers.close()
+        self._start()
+        for gid in self.groups:
+            self._fetch(gid, 1)
+            self._auth(gid)
+
+
+def test_protocol_matches_model(model, caplog):
+    caplog.set_level(logging.CRITICAL, logger="viskey.cas")  # each failed save logs a traceback
+    # max_examples comes from the Hypothesis profile (see conftest.py)
+    run_state_machine_as_test(lambda: ProtocolMachine(model),
+                              settings=settings(deadline=None, stateful_step_count=40))
