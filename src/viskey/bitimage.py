@@ -72,14 +72,6 @@ class Rect:
         if not (0 <= self.top <= self.bottom and 0 <= self.left <= self.right):
             raise ValueError(f"degenerate rect {self}")
 
-    @property
-    def height(self):
-        return self.bottom - self.top + 1
-
-    @property
-    def width(self):
-        return self.right - self.left + 1
-
 
 _WHITESPACE_BYTES = b" \t\r\n\v\f"
 
@@ -202,21 +194,6 @@ def or_merge(images) -> BitImage:
             )
         acc |= img.a
     return BitImage(acc)
-
-
-def crop(img: BitImage, r: Rect) -> BitImage:
-    if r.bottom >= img.height or r.right >= img.width:
-        raise DimensionError(f"rect {r} exceeds {img.width}x{img.height} image")
-    return BitImage(img.a[r.top : r.bottom + 1, r.left : r.right + 1])
-
-
-def scale_nn(img: BitImage, out_w: int, out_h: int) -> BitImage:
-    """Nearest-neighbor resample; stretches to the target, aspect not kept."""
-    if out_w < 1 or out_h < 1:
-        raise DimensionError("target dimensions must be positive")
-    rows = (np.arange(out_h) * img.height) // out_h
-    cols = (np.arange(out_w) * img.width) // out_w
-    return BitImage(img.a[np.ix_(rows, cols)])
 
 
 def downsample_majority(img: BitImage, block_h: int, block_w: int) -> BitImage:

@@ -116,11 +116,15 @@ def create_group(group_id: str, n: int, key_length: int, seed: int) -> GroupReco
 
 
 def _max_payload() -> int:
-    """P4 size of the largest share the limits admit."""
+    """Size of the largest FETCH payload the limits admit: the P4 file of the
+    last member's share and its sidecar line, for a 64-character group id.
+    A fetched file can be submitted as it is: SUBMIT ignores the bytes after
+    the PBM."""
     p = vcs.scheme_params(vcs.MAX_SHARES)
     secret = render_key_image("0" * MAX_KEY_LENGTH)
-    w, h = secret.width * p.block_w, secret.height * p.block_h
-    return len(f"P4\n{w} {h}\n") + (w + 7) // 8 * h
+    h, w = secret.height * p.block_h, secret.width * p.block_w
+    sidecar = vcs.share_sidecar(p, (h, w), p.n, "x" * 64)
+    return len(f"P4\n{w} {h}\n") + (w + 7) // 8 * h + len(sidecar)
 
 
 MAX_PAYLOAD = _max_payload()

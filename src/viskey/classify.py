@@ -1,10 +1,11 @@
 """Training on the corpus glyphs and 1-nearest-neighbor recognition.
 
 A clean stack of shares decodes back to the secret bit for bit (exact
-block-count decode, see `denoise`), so a character read from a stacked key
-image looks exactly like its corpus glyph from `font.corpus()`. The model
-therefore learns the corpus glyphs as they are, and one model serves every
-scheme; queries match by plain Euclidean nearest neighbor.
+block-count decode, see `denoise`), and `font.corpus()` stretches its glyphs
+to the grid with the same `ocr.normalize_glyph` step that reads them, so a
+character read from a stacked key image looks exactly like its corpus glyph.
+The model therefore learns the corpus glyphs as they are, and one model
+serves every scheme; queries match by plain Euclidean nearest neighbor.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitimage import BitImage, Rect, crop, scale_nn
-from .ocr import GLYPH_SIZE
+from .bitimage import BitImage, Rect
+from .ocr import normalize_glyph
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 FONT_IDS = tuple(f"f{i}" for i in range(10))
@@ -94,17 +94,10 @@ def _shear(a, direction, maxshift=2):
     return _dilate(out, 0, 1)
 
 
-def _tight(a):
-    img = BitImage(a)
-    rows = np.flatnonzero(a.sum(axis=1))
-    cols = np.flatnonzero(a.sum(axis=0))
-    box = Rect(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
-    return crop(img, box)
-
-
 def render_variant(label: str, font_id: str) -> BitImage:
-    """One 32x32 corpus bitmap: base glyph -> variant transform -> tight crop
-    -> stretch to the classification grid."""
+    """One 32x32 corpus bitmap: base glyph -> variant transform -> its ink
+    box stretched to the classification grid by `ocr.normalize_glyph`, the
+    step that also reads every glyph of a stacked key image."""
     if font_id not in FONT_IDS:
         raise ValueError(f"unknown font id {font_id!r}")
     base = base_glyph(label)
@@ -129,7 +122,10 @@ def render_variant(label: str, font_id: str) -> BitImage:
         a = _upscale(base, 5)[:, ::2]  # condensed
     else:
         a = _dilate(_upscale(base, 5), 2, 2)  # heavy
-    return scale_nn(_tight(a), GLYPH_SIZE, GLYPH_SIZE)
+    rows = np.flatnonzero(a.any(axis=1))
+    cols = np.flatnonzero(a.any(axis=0))
+    box = Rect(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))
+    return BitImage(normalize_glyph(BitImage(a), box))
 
 
 def corpus() -> tuple:

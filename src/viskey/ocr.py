@@ -20,30 +20,28 @@ MIN_GLYPH_WIDTH = 2  # narrower column runs are specks, not characters
 def segment(img: BitImage):
     """Left-to-right character boxes of a one-line image.
 
-    The text band is the global first..last nonzero row; inside it, maximal
-    nonzero column runs become glyphs, each tightened to its own row extent.
-    Runs narrower than MIN_GLYPH_WIDTH columns are discarded.
+    Maximal runs of columns that hold ink, in any row, become glyphs, each
+    tightened to its own row extent. Runs narrower than MIN_GLYPH_WIDTH
+    columns are discarded.
     """
-    nonzero_rows = np.flatnonzero(img.a.any(axis=1))
-    if nonzero_rows.size == 0:
-        return []
-    band_top, band_bottom = int(nonzero_rows[0]), int(nonzero_rows[-1])
-    band = img.a[band_top : band_bottom + 1]
     # a run starts and ends where the padded filled-column mask changes
-    edges = np.flatnonzero(np.diff(np.pad(band.any(axis=0), 1)))
+    edges = np.flatnonzero(np.diff(np.pad(img.a.any(axis=0), 1)))
     boxes = []
     for start, stop in edges.reshape(-1, 2).tolist():
         if stop - start >= MIN_GLYPH_WIDTH:
-            rows = np.flatnonzero(band[:, start:stop].any(axis=1))
-            boxes.append(Rect(band_top + int(rows[0]), band_top + int(rows[-1]), start, stop - 1))
+            rows = np.flatnonzero(img.a[:, start:stop].any(axis=1))
+            boxes.append(Rect(int(rows[0]), int(rows[-1]), start, stop - 1))
     return boxes
 
 
 def normalize_glyphs(img: BitImage, boxes) -> np.ndarray:
     """Crop every box and stretch it to the 32x32 classification grid.
 
-    One gather for all boxes, with `scale_nn`'s floor formula per box;
-    returns a (len(boxes), 32, 32) array.
+    One gather for all boxes: output row i of a box reads its row
+    top + (i * height) // 32, and columns likewise (nearest neighbor, aspect
+    not kept); returns a (len(boxes), 32, 32) array. `font.render_variant`
+    draws every corpus glyph through this step too, so a glyph read from a
+    clean stack equals its corpus glyph.
     """
     b = np.array([(r.top, r.bottom, r.left, r.right) for r in boxes], dtype=np.intp).reshape(-1, 4)
     if b.size and (b[:, 1].max() >= img.height or b[:, 3].max() >= img.width):

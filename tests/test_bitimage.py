@@ -10,11 +10,9 @@ from viskey.bitimage import (
     PbmError,
     Rect,
     _tokens,
-    crop,
     downsample_majority,
     or_merge,
     read_pbm,
-    scale_nn,
     write_pbm,
 )
 
@@ -120,10 +118,6 @@ class TestBitImage:
 
 
 class TestRect:
-    def test_dimensions(self):
-        r = Rect(2, 7, 1, 3)
-        assert (r.height, r.width) == (6, 3)
-
     def test_degenerate(self):
         with pytest.raises(ValueError):
             Rect(3, 2, 0, 0)
@@ -258,69 +252,6 @@ class TestOrMerge:
         a, b, c = (random_image(rng, w, h) for _ in range(3))
         assert or_merge([a, b]) == or_merge([b, a])
         assert or_merge([or_merge([a, b]), c]) == or_merge([a, or_merge([b, c])])
-
-
-class TestCrop:
-    def test_full_extent(self):
-        img = bits("101\n010")
-        assert crop(img, Rect(0, 1, 0, 2)) == img
-
-    def test_example(self):
-        img = BitImage(np.ones((4, 4), dtype=np.uint8))
-        assert crop(img, Rect(1, 2, 1, 2)) == BitImage(np.ones((2, 2), dtype=np.uint8))
-
-    def test_out_of_bounds(self):
-        with pytest.raises(DimensionError):
-            crop(bits("10\n01"), Rect(0, 2, 0, 1))
-
-    def test_indexing_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            img = random_image(rng, 12, 9)
-            t = int(rng.integers(0, 9))
-            b = int(rng.integers(t, 9))
-            l = int(rng.integers(0, 12))
-            r = int(rng.integers(l, 12))
-            sub = crop(img, Rect(t, b, l, r))
-            for i in range(sub.height):
-                for j in range(sub.width):
-                    assert sub.a[i, j] == img.a[t + i, l + j]
-
-
-class TestScaleNn:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        img = random_image(rng, 32, 32)
-        assert scale_nn(img, 32, 32) == img
-
-    def test_one_pixel_blowup(self):
-        out = scale_nn(bits("1"), 32, 32)
-        assert out.a.sum() == 32 * 32
-
-    def test_floor_formula_example(self):
-        out = scale_nn(bits("10\n00"), 4, 4)
-        expect = bits("1100\n1100\n0000\n0000")
-        assert out == expect
-
-    def test_idempotent_at_fixed_size(self):
-        rng = np.random.default_rng(5)
-        img = random_image(rng, 17, 9)
-        once = scale_nn(img, 20, 24)
-        assert scale_nn(once, 20, 24) == once
-
-    def test_floor_formula_random_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            img = random_image(rng, int(rng.integers(1, 10)), int(rng.integers(1, 10)))
-            ow, oh = int(rng.integers(1, 15)), int(rng.integers(1, 15))
-            out = scale_nn(img, ow, oh)
-            for i in range(oh):
-                for j in range(ow):
-                    assert out.a[i, j] == img.a[(i * img.height) // oh, (j * img.width) // ow]
-
-    def test_bad_target(self):
-        with pytest.raises(DimensionError):
-            scale_nn(bits("1"), 0, 4)
 
 
 class TestDownsampleMajority:

@@ -101,11 +101,16 @@ class TestCreateGroup:
         assert len(cas.create_group("g", 9, cas.MAX_KEY_LENGTH, 1).key) == cas.MAX_KEY_LENGTH
 
     def test_payload_bound_is_largest_share(self):
+        """The bound is the largest FETCH payload: the largest share's P4
+        file and the longest sidecar line, so a fetched file submits as is."""
         p = vcs.scheme_params(vcs.MAX_SHARES)
         secret = cas.render_key_image("W" * cas.MAX_KEY_LENGTH)
         share = blank(secret.width * p.block_w, secret.height * p.block_h)
         assert (share.width, share.height) == (6336, 360)
-        assert len(write_pbm(share, "P4")) == cas.MAX_PAYLOAD == 285_132
+        line = vcs.share_sidecar(p, (share.height, share.width), p.n, "x" * 64)
+        p4 = len(write_pbm(share, "P4"))
+        assert (p4, len(line)) == (285_132, 96)
+        assert p4 + len(line) == cas.MAX_PAYLOAD == 285_228
 
 
 class TestAuthenticate:
@@ -234,7 +239,8 @@ class TestRecordPersistence:
         rec = cas.create_group("grp", 9, 4, 50)
         cas.save_record(rec, tmp_path)
         path = tmp_path / "grp" / "record.txt"
-        path.write_text(path.read_text().replace("\nsubmitted", "\nissued 1 1\nsubmitted"))
+        path.write_text(path.read_text().replace("\nversion", "\nissued 1 1\nversion"))
+        assert "\nissued 1 1\n" in path.read_text()
         loaded = cas.load_record("grp", tmp_path)
         assert (loaded.key, loaded.params, loaded.shares) == (rec.key, rec.params, rec.shares)
         with serving(tmp_path, model) as srv:
@@ -745,6 +751,8 @@ class TestProtocolInput:
     def test_bad_integer_keeps_connection(self, server):
         c = cas.CasClient("127.0.0.1", server.server_address[1])
         try:
+            assert c._request("").startswith("ERR empty")
+            assert c._request("FETCH g").startswith("ERR usage")
             assert c._request("CREATE g x 6 1").startswith("ERR usage")
             assert c._request("FETCH g one").startswith("ERR usage")
             assert c._request("SUBMIT g 1 -5").startswith("ERR usage")
@@ -873,6 +881,29 @@ class TestProtocolInput:
             finally:
                 for c in held:
                     c.close()
+
+    def test_short_payload_closes_connection(self, server):
+        c = client(server, timeout=5.0)
+        try:
+            c.sock.sendall(b"SUBMIT g 1 100\n" + bytes(10))
+            c.sock.shutdown(socket.SHUT_WR)
+            assert c.rfile.readline().startswith(b"ERR payload expected 100 payload bytes")
+            assert c.rfile.readline() == b""
+        finally:
+            c.close()
+
+    def test_fetched_share_submits_as_fetched(self, server):
+        """The largest FETCH payload, sidecar line included, is a SUBMIT payload."""
+        c = client(server)
+        try:
+            n, key_len = vcs.MAX_SHARES, cas.MAX_KEY_LENGTH
+            assert c.create("g", n, key_len, 1) == f"OK g {n}"
+            reply, payload = c.fetch("g", 1)
+            assert reply == "SHARE g 1 285164"
+            assert c.submit("g", 1, payload) == "ACCEPTED 1"
+            assert c.auth("g") == "DENIED g InsufficientShares"
+        finally:
+            c.close()
 
     def test_oversized_submit_closes_connection(self, server):
         c = client(server, timeout=5.0)
@@ -1074,6 +1105,14 @@ class TestGroupTable:
 
 GIDS = ("a", "b", "c")
 SUBMIT_KINDS = ("own", "foreign", "junk", "wrongsize")
+# lines refused before any group is looked up, with the error code of each
+MALFORMED = (
+    ("", "ERR empty"), (" \t", "ERR empty"), ("FROB a", "ERR unknown"),
+    ("FETCH a", "ERR usage"), ("AUTH a 1", "ERR usage"), ("CREATE a 2 4", "ERR usage"),
+    ("FETCH a +1", "ERR usage"), ("CREATE a 1_0 4 1", "ERR usage"),
+    ("SUBMIT a 1 \u0663", "ERR usage"), ("AUTH a.b", "ERR usage"), ("RESET a/b", "ERR usage"),
+    ("FETCH ../a 1", "ERR usage"),
+)
 
 
 class ProtocolMachine(RuleBasedStateMachine):
@@ -1206,6 +1245,13 @@ class ProtocolMachine(RuleBasedStateMachine):
         if not error:
             self.groups[gid][1].clear()
         self._check(reply, error or "OK")
+
+    @rule(data=st.data(), line=st.sampled_from(MALFORMED))
+    def malformed(self, data, line):
+        """A malformed line gets its error, and the connection answers the next request."""
+        request, error = line
+        self._check(self.c._request(request), error)
+        self._fetch(*self._target(data))
 
     @precondition(lambda self: self.groups)
     @rule(data=st.data(), verb=st.sampled_from(["SUBMIT", "RESET"]), k=st.integers(0, 4000))

@@ -235,6 +235,9 @@ class TestModelPersistence:
         path.write_text("not-a-model 48 0\n")
         with pytest.raises(ValueError):
             classify.load_model(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty model file"):
+            classify.load_model(path)
 
     def test_wrong_feature_count(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import bits, blank, random_image
 from viskey import font
-from viskey.bitimage import BitImage, DimensionError, Rect, crop, scale_nn
+from viskey.bitimage import BitImage, DimensionError, Rect
 from viskey.ocr import (
     FEATURE_LEN,
     GLYPH_SIZE,
@@ -177,8 +177,12 @@ class TestNormalizeGlyph:
                               left, data.draw(st.integers(left, w - 1))))
         got = normalize_glyphs(img, boxes)
         assert got.shape == (len(boxes), GLYPH_SIZE, GLYPH_SIZE)
+        steps = np.arange(GLYPH_SIZE)
         for g, box in zip(got, boxes):
-            assert np.array_equal(g, scale_nn(crop(img, box), GLYPH_SIZE, GLYPH_SIZE).a)
+            sub = img.a[box.top : box.bottom + 1, box.left : box.right + 1]
+            rows = (steps * sub.shape[0]) // GLYPH_SIZE
+            cols = (steps * sub.shape[1]) // GLYPH_SIZE
+            assert np.array_equal(g, sub[np.ix_(rows, cols)])
 
     def test_out_of_bounds(self):
         img = bits("10\n01")

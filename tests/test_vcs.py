@@ -252,6 +252,9 @@ class TestSidecar:
     def test_field_count(self):
         with pytest.raises(ValueError):
             vcs.parse_sidecar("2of2 0 2 2 1 2 8 8 1")
+        for fields in ("2of2 0 2 2 1", "2of2 0 2 2 1 2 8"):
+            with pytest.raises(ValueError, match="scheme must have 6 fields"):
+                vcs.parse_scheme(fields.split())
 
     def test_inconsistent_params(self):
         with pytest.raises(ValueError):
