@@ -54,10 +54,14 @@ class GroupRecord:
     key: str
     params: vcs.SchemeParams
     shares: tuple  # n canonical P4 files (`write_pbm(share, "P4")`), index 0 is member 1
-    submissions: dict = field(default_factory=dict)  # member index -> canonical P4 file
+    # member index -> canonical P4 file, the issued share's own object where equal to it
+    submissions: dict = field(default_factory=dict)
     version: int = 0  # of the next save_record, which picks its record file
     # held by every request that reads or changes the group, and by CREATE until its first save
     lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
+    # (model, submissions, decision) of the last `authenticate`, which alone sets it; in
+    # memory only, one decision per group
+    last_auth: tuple = field(default=(None, None, None), compare=False, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -68,6 +72,13 @@ class GroupRecord:
 def _canonical_p4(data: bytes) -> bytes:
     """Any PBM `read_pbm` accepts, as the canonical P4 file `write_pbm` makes."""
     return write_pbm(read_pbm(data), "P4")
+
+
+def _as_held(shares: tuple, member: int, share: bytes) -> bytes:
+    """`share`, or the member's issued share object if equal to it: an honest
+    submission then costs no memory beyond the issued shares."""
+    issued = shares[member - 1]
+    return issued if share == issued else share
 
 
 def _p4_shape(data: bytes) -> tuple:
@@ -143,16 +154,26 @@ MAX_CONNECTIONS = 64
 
 
 def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
-    """Stack the submitted shares and compare the machine-read key; the
-    record is left unchanged."""
+    """Stack the submitted shares and compare the machine-read key. A
+    decision depends only on the key and scheme, which never change, the
+    model and the submissions, so a repeat with the model and submissions of
+    the last call returns that call's decision without decoding. Sets only
+    the record's memo, `last_auth`."""
     subs = record.submissions
+    memo_model, memo_subs, decision = record.last_auth
+    if memo_model is model and memo_subs == subs:
+        return decision
     if len(subs) < 2:
-        return AuthDecision(DENIED, INSUFFICIENT_SHARES)
-    if any(_p4_shape(s) != record.shape for s in subs.values()):
-        return AuthDecision(DENIED, DIMENSION_MISMATCH)
-    decoded = decode_string(vcs.reconstruct(map(read_pbm, subs.values())), model, record.params)
-    return (AuthDecision(GRANTED) if decoded == record.key
-            else AuthDecision(DENIED, KEY_MISMATCH, decoded))
+        decision = AuthDecision(DENIED, INSUFFICIENT_SHARES)
+    elif any(_p4_shape(s) != record.shape for s in subs.values()):
+        decision = AuthDecision(DENIED, DIMENSION_MISMATCH)
+    else:
+        decoded = decode_string(vcs.reconstruct(map(read_pbm, subs.values())),
+                                model, record.params)
+        decision = (AuthDecision(GRANTED) if decoded == record.key
+                    else AuthDecision(DENIED, KEY_MISMATCH, decoded))
+    record.last_auth = (model, dict(subs), decision)  # a copy: a caller may edit its dict
+    return decision
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +263,7 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
         raise ValueError(f"submitted members {members} are not distinct in 1..{params.n}")
     inline += [(i, (gdir / f"submission_{i}.pbm").read_bytes()) for i in legacy]
     return GroupRecord(group_id, fields["key"], params, shares,
-                       {m: _canonical_p4(data) for m, data in inline},
+                       {m: _as_held(shares, m, _canonical_p4(data)) for m, data in inline},
                        version=int(fields.get("version", 0)) + 1)
 
 
@@ -389,7 +410,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "SUBMIT":
             try:
-                share = _canonical_p4(data)
+                share = _as_held(record.shares, nums[0], _canonical_p4(data))
             except ValueError as e:
                 raise ProtocolError("badpbm", str(e))
 

@@ -9,6 +9,8 @@ font-rendering dependency or data file.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bitimage import BitImage, Rect
@@ -94,10 +96,12 @@ def _shear(a, direction, maxshift=2):
     return _dilate(out, 0, 1)
 
 
+@functools.cache  # BitImage is immutable; at most 360 glyphs
 def render_variant(label: str, font_id: str) -> BitImage:
     """One 32x32 corpus bitmap: base glyph -> variant transform -> its ink
     box stretched to the classification grid by `ocr.normalize_glyph`, the
-    step that also reads every glyph of a stacked key image."""
+    step that also reads every glyph of a stacked key image. Each is drawn
+    once per process."""
     if font_id not in FONT_IDS:
         raise ValueError(f"unknown font id {font_id!r}")
     base = base_glyph(label)

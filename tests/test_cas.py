@@ -152,6 +152,83 @@ class TestAuthenticate:
         assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
         assert d.decoded != a.key
 
+    @pytest.mark.xfail(strict=True, reason="a stack of two groups' shares is noise, and "
+                       "noise reads as one glyph: '8' at n = 2, 'B' at n = 9")
+    @pytest.mark.parametrize("n, seed", [(2, 117), (9, 6)])  # keys "8" and "B"
+    def test_one_character_key_denies_foreign_stack(self, model, n, seed):
+        rec = cas.create_group("g", n, 1, seed)
+        other = cas.create_group("x", n, 1, seed + 1)
+        rec.submissions = {1: rec.shares[0], 2: other.shares[1]}
+        assert cas.authenticate(rec, model).outcome == cas.DENIED
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """The number of `decode_string` calls `authenticate` makes, so far."""
+    calls = []
+    decode_string = cas.decode_string
+
+    def counting(*args):
+        calls.append(args)
+        return decode_string(*args)
+
+    monkeypatch.setattr(cas, "decode_string", counting)
+    return lambda: len(calls)
+
+
+class TestAuthMemo:
+    @pytest.mark.parametrize("foreign", [False, True], ids=["granted", "keymismatch"])
+    def test_repeat_answers_without_decoding(self, model, decodes, foreign):
+        a = cas.create_group("a", 2, 4, 30)
+        b = cas.create_group("b", 2, 4, 34)
+        a.submissions = {1: a.shares[0], 2: (b if foreign else a).shares[1]}
+        first = cas.authenticate(a, model)
+        assert first.outcome == (cas.DENIED if foreign else cas.GRANTED)
+        assert first.reason == (cas.KEY_MISMATCH if foreign else "")
+        assert decodes() == 1
+        a.submissions = dict(a.submissions)  # an equal set, as a later SUBMIT saves it
+        assert cas.authenticate(a, model) == first
+        assert decodes() == 1
+
+    @pytest.mark.parametrize("change", ["reset", "replace"])
+    def test_changed_stack_decodes_again(self, tmp_path, model, decodes, change):
+        """The same members holding another stack get that stack's decision."""
+        a = cas.create_group("a", 2, 4, 30)
+        b = cas.create_group("b", 2, 4, 34)
+        cas.save_record(a, tmp_path, {1: a.shares[0], 2: a.shares[1]})
+        assert cas.authenticate(a, model).outcome == cas.GRANTED
+        if change == "reset":
+            cas.save_record(a, tmp_path, {})
+            cas.save_record(a, tmp_path, {1: a.shares[0]})
+        cas.save_record(a, tmp_path, {**a.submissions, 2: b.shares[1]})
+        d = cas.authenticate(a, model)
+        assert (d.outcome, d.reason) == (cas.DENIED, cas.KEY_MISMATCH)
+        assert decodes() == 2
+
+    def test_other_model_decodes_again(self, model, decodes):
+        rec = cas.create_group("g", 2, 4, 30)
+        rec.submissions = {1: rec.shares[0], 2: rec.shares[1]}
+        assert cas.authenticate(rec, model).outcome == cas.GRANTED
+        label = next(ch for ch in "0123456789" if ch not in rec.key)
+        reads_one_label = dataclasses.replace(
+            model, samples=tuple(s for s in model.samples if s.label == label))
+        d = cas.authenticate(rec, reads_one_label)
+        assert (d.outcome, d.reason, d.decoded) == (cas.DENIED, cas.KEY_MISMATCH,
+                                                    label * len(rec.key))
+        assert cas.authenticate(rec, model).outcome == cas.GRANTED
+        assert decodes() == 3
+
+    def test_every_outcome_remembered(self, model, decodes):
+        rec = cas.create_group("g", 2, 4, 31)
+        for subs, reason in (({}, cas.INSUFFICIENT_SHARES),
+                             ({1: rec.shares[0], 2: write_pbm(blank(8, 8), "P4")},
+                              cas.DIMENSION_MISMATCH)):
+            rec.submissions = subs
+            d = cas.authenticate(rec, model)
+            assert rec.last_auth[0] is model and rec.last_auth[1:] == (subs, d)
+            assert d.reason == reason
+        assert decodes() == 0
+
 
 class TestRecordPersistence:
     def test_roundtrip(self, tmp_path):
@@ -905,6 +982,28 @@ class TestProtocolInput:
         finally:
             c.close()
 
+    def test_issued_share_held_once(self, tmp_path, model):
+        """A SUBMIT of the issued share, as fetched or re-encoded, is held as
+        the issued share's own bytes, before and after a restart; another
+        share is held as sent."""
+        state_dir = tmp_path / "state"
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.create("g", 2, 4, 1) == "OK g 2"
+                assert c.create("h", 2, 4, 2) == "OK h 2"
+                assert c.submit("g", 1, c.fetch("g", 1)[1]) == "ACCEPTED 1"
+                p1 = write_pbm(read_pbm(c.fetch("g", 2)[1]), "P1")
+                assert c.submit("g", 2, p1) == "ACCEPTED 2"
+                assert c.submit("h", 1, c.fetch("g", 1)[1]) == "ACCEPTED 1"
+            finally:
+                c.close()
+            g, h = srv.cas_state.get("g"), srv.cas_state.get("h")
+            assert all(g.submissions[m] is g.shares[m - 1] for m in (1, 2))
+            assert h.submissions[1] == g.shares[0] != h.shares[0]
+        g = cas.CasState(state_dir, model).get("g")
+        assert all(g.submissions[m] is g.shares[m - 1] for m in (1, 2))
+
     def test_oversized_submit_closes_connection(self, server):
         c = client(server, timeout=5.0)
         try:
@@ -1118,7 +1217,9 @@ MALFORMED = (
 class ProtocolMachine(RuleBasedStateMachine):
     """Random requests and restarts against a real server; `self.groups`
     predicts every reply. Each group maps to the record `create_group` makes
-    in-process and to the kind of share each member submitted."""
+    in-process and to the kind of share each member submitted. Most rules
+    use one connection, `self.c`; `auth_after_change` spreads its requests
+    over it and a second one, `self.c2`."""
 
     def __init__(self, model):
         super().__init__()
@@ -1131,9 +1232,11 @@ class ProtocolMachine(RuleBasedStateMachine):
     def _start(self):
         self.srv = self.servers.enter_context(serving(Path(self.tmp.name), self.model))
         self.c = client(self.srv, timeout=10.0)
+        self.c2 = client(self.srv, timeout=10.0)
 
     def teardown(self):
         self.c.close()
+        self.c2.close()
         self.servers.close()
         self.tmp.cleanup()
 
@@ -1220,8 +1323,8 @@ class ProtocolMachine(RuleBasedStateMachine):
         gid = data.draw(st.sampled_from(sorted(self.groups)))
         self._submit(gid, data.draw(st.integers(1, self.groups[gid][0].params.n)), "own")
 
-    def _submit(self, gid, member, kind):
-        reply = self.c.submit(gid, member, self._payload(gid, member, kind))
+    def _submit(self, gid, member, kind, c=None):
+        reply = (c or self.c).submit(gid, member, self._payload(gid, member, kind))
         error = self._error(gid, member) or ("ERR badpbm" if kind == "junk" else None)
         if error:
             self._check(reply, error)
@@ -1236,6 +1339,45 @@ class ProtocolMachine(RuleBasedStateMachine):
 
     def _auth(self, gid):
         self._check(self.c.auth(gid), self._error(gid) or self._auth_reply(gid))
+
+    @precondition(lambda self: self._own_only())
+    @rule(data=st.data())
+    def auth_after_change(self, data):
+        """In a group that holds only its own shares, two or more of them
+        (members 1 and 2 submit theirs first if fewer are held): AUTH, one
+        held share replaced by a foreign or wrong-size one, AUTH again, and
+        the own share submitted back. The second AUTH answers for the stack
+        it finds, not the first one's. Each request goes on either
+        connection. Each AUTH must answer what a fresh `authenticate` of the
+        held stack decides, the contract of the group's memo; the own share
+        goes back because `_auth_reply` is wrong about a mixed stack of the
+        one-character keys that such a stack reads as (see
+        `test_one_character_key_denies_foreign_stack`)."""
+        gid = data.draw(st.sampled_from(self._own_only()))
+        subs = self.groups[gid][1]
+        for member in (1, 2):
+            if len(subs) < 2 and member not in subs:
+                self._submit(gid, member, "own", self._either(data))
+        member = data.draw(st.sampled_from(sorted(subs)))
+        self._check(self._either(data).auth(gid), self._decided_reply(gid))
+        self._submit(gid, member, data.draw(st.sampled_from(["foreign", "wrongsize"])),
+                     self._either(data))
+        self._check(self._either(data).auth(gid), self._decided_reply(gid))
+        self._submit(gid, member, "own", self._either(data))
+
+    def _own_only(self):
+        return sorted(gid for gid, (_, subs) in self.groups.items()
+                      if set(subs.values()) <= {"own"})
+
+    def _either(self, data):
+        return getattr(self, data.draw(st.sampled_from(["c", "c2"])))
+
+    def _decided_reply(self, gid):
+        rec, kinds = self.groups[gid]
+        held = {m: self._payload(gid, m, kind) for m, kind in kinds.items()}
+        d = cas.authenticate(cas.GroupRecord(gid, rec.key, rec.params, rec.shares, held),
+                             self.model)
+        return f"GRANTED {gid}" if d.outcome == cas.GRANTED else f"DENIED {gid} {d.reason}"
 
     @rule(data=st.data())
     def reset(self, data):
@@ -1277,6 +1419,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         """A new CasState on the same directory; then every group answers
         FETCH and AUTH as before."""
         self.c.close()
+        self.c2.close()
         self.servers.close()
         self._start()
         for gid in self.groups:
