@@ -57,7 +57,7 @@ class GroupRecord:
     # member index -> canonical P4 file, the issued share's own object where equal to it
     submissions: dict = field(default_factory=dict)
     version: int = 0  # of the next save_record, which picks its record file
-    # held by every request that reads or changes the group, and by CREATE until its first save
+    # held by SUBMIT and RESET: each save rewrites the older record file
     lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
     # (model, submissions, decision) of the last `authenticate`, which alone sets it; in
     # memory only, one decision per group
@@ -157,8 +157,9 @@ def authenticate(record: GroupRecord, model: Model) -> AuthDecision:
     """Stack the submitted shares and compare the machine-read key. A
     decision depends only on the key and scheme, which never change, the
     model and the submissions, so a repeat with the model and submissions of
-    the last call returns that call's decision without decoding. Sets only
-    the record's memo, `last_auth`."""
+    the last call returns that call's decision without decoding. Reads the
+    submissions once, as `save_record` replaces them whole, so it decides on
+    one stack while a save runs. Sets only the record's memo, `last_auth`."""
     subs = record.submissions
     memo_model, memo_subs, decision = record.last_auth
     if memo_model is model and memo_subs == subs:
@@ -271,8 +272,8 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
 # line-protocol service
 
 class CasState:
-    """Server-side group table with file persistence; each record holds its
-    group's lock."""
+    """Server-side group table with file persistence. A group enters it only
+    once its first save has completed, and never leaves it."""
 
     def __init__(self, state_dir, model: Model):
         self.state_dir = Path(state_dir)
@@ -280,16 +281,16 @@ class CasState:
         self._records = {}
         self._table_lock = threading.Lock()
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        for rec_file in self.state_dir.glob("*/record.txt"):
-            gid = rec_file.parent.name
-            if not GROUP_ID.fullmatch(gid):
+        for gdir in self.state_dir.iterdir():
+            gid = gdir.name
+            if not (GROUP_ID.fullmatch(gid) and gdir.is_dir()):
                 continue
             try:
                 self._records[gid] = load_record(gid, self.state_dir)
             except (KeyError, ValueError, OSError) as e:
                 # move it aside, under a name no group id matches
                 dest = self.state_dir / f"{gid}.corrupt.{time.time_ns()}"
-                rec_file.parent.rename(dest)
+                gdir.rename(dest)
                 log.warning("group %s: unreadable record (%s), moved to %s",
                             gid, type(e).__name__, dest.name)
 
@@ -301,11 +302,6 @@ class CasState:
         """Insert `record` unless its group id is taken; True if inserted."""
         with self._table_lock:
             return self._records.setdefault(record.group_id, record) is record
-
-    def remove(self, record) -> None:
-        """Drop `record`, which `add` inserted, from the table."""
-        with self._table_lock:
-            del self._records[record.group_id]
 
 
 USAGE = {
@@ -386,21 +382,27 @@ class _Handler(socketserver.StreamRequestHandler):
 
         if cmd == "CREATE":
             n, key_len, seed = nums
-            if state.get(gid) is None:
-                try:  # with no lock held: a refused CREATE leaves nothing behind
-                    record = create_group(gid, n, key_len, seed)
-                except ValueError as e:
-                    raise ProtocolError("badscheme", str(e))
-                with record.lock:  # requests that find the record wait for its save
-                    if state.add(record):
-                        try:
-                            save_record(record, state.state_dir)
-                        except BaseException:  # a group exists once saved, or not at all
-                            shutil.rmtree(state.state_dir / gid, ignore_errors=True)
-                            state.remove(record)
-                            raise
-                        return f"OK {gid} {n}", b""
-            raise ProtocolError("exists", f"group {gid} already exists")
+            exists = ProtocolError("exists", f"group {gid} already exists")
+            if state.get(gid) is not None:
+                raise exists
+            try:  # before the directory: a refused CREATE leaves nothing behind
+                record = create_group(gid, n, key_len, seed)
+            except ValueError as e:
+                raise ProtocolError("badscheme", str(e))
+            gdir = state.state_dir / gid
+            try:  # reserves the id: of two CREATEs, one makes the directory
+                gdir.mkdir()
+            except FileExistsError:
+                raise exists from None
+            try:
+                save_record(record, state.state_dir)
+            except BaseException:  # a group exists once saved, or not at all
+                shutil.rmtree(gdir, ignore_errors=True)
+                raise
+            if not state.add(record):  # the id is in the table, but its directory vanished
+                shutil.rmtree(gdir, ignore_errors=True)
+                raise exists
+            return f"OK {gid} {n}", b""
 
         record = state.get(gid)
         if record is None:
@@ -414,26 +416,22 @@ class _Handler(socketserver.StreamRequestHandler):
             except ValueError as e:
                 raise ProtocolError("badpbm", str(e))
 
+        if cmd == "FETCH":  # shares never change
+            (member,) = nums
+            payload = (record.shares[member - 1]
+                       + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
+            return f"SHARE {gid} {member} {len(payload)}", payload
+
+        if cmd == "AUTH":  # decides on the submissions it reads once, which a save replaces whole
+            decision = authenticate(record, state.model)
+            if decision.outcome == GRANTED:
+                return f"GRANTED {gid}", b""
+            return f"DENIED {gid} {decision.reason}", b""
+
         with record.lock:
-            if state.get(gid) is not record:  # its CREATE failed to save it
-                raise ProtocolError("unknowngroup", f"no group {gid}")
-
-            if cmd == "FETCH":
-                (member,) = nums
-                payload = (record.shares[member - 1]
-                           + vcs.share_sidecar(record.params, record.shape, member, gid).encode())
-                return f"SHARE {gid} {member} {len(payload)}", payload
-
             if cmd == "SUBMIT":
                 save_record(record, state.state_dir, {**record.submissions, nums[0]: share})
                 return f"ACCEPTED {len(record.submissions)}", b""
-
-            if cmd == "AUTH":
-                decision = authenticate(record, state.model)
-                if decision.outcome == GRANTED:
-                    return f"GRANTED {gid}", b""
-                return f"DENIED {gid} {decision.reason}", b""
-
             # RESET, the one verb left
             save_record(record, state.state_dir, {})
             return "OK", b""

@@ -20,7 +20,7 @@ import numpy as np
 from .bitimage import BitImage
 from .denoise import decide_blocks
 from .font import ALPHABET
-from .ocr import FEATURE_LEN, extract_features, normalize_glyph, normalize_glyphs, segment
+from .ocr import FEATURE_LEN, extract_features, normalize_glyphs, segment, single_glyph
 from .vcs import SchemeParams
 
 log = logging.getLogger(__name__)
@@ -85,12 +85,11 @@ def train_model(glyphs) -> Model:
         label, _, font_id = source_id.partition("_")
         if label not in ALPHABET or not font_id:
             raise ValueError(f"corpus source id {source_id!r} not of form <LABEL>_<FONTID>")
-        boxes = segment(glyph)
-        if len(boxes) != 1:
-            log.warning("skipping %s: segmentation found %d glyphs", source_id, len(boxes))
+        try:
+            kept.append((label, source_id, single_glyph(glyph)))
+        except ValueError as e:
+            log.warning("skipping %s: %s", source_id, e)
             skipped.append(source_id)
-            continue
-        kept.append((label, source_id, normalize_glyph(glyph, boxes[0])))
     if not kept:
         raise ValueError("no usable corpus glyphs")
     feats = extract_features(np.stack([bitmap for _, _, bitmap in kept]))

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import cas, classify, font, vcs
 from .bitimage import DimensionError, read_pbm, write_pbm
 from .denoise import adaptive_filter
-from .ocr import extract_features, normalize_glyph, segment
+from .ocr import extract_features, segment, single_glyph
 
 
 def _read(path):
@@ -22,16 +22,6 @@ def _read(path):
 
 def _write(path, img, variant):
     Path(path).write_bytes(write_pbm(img, variant))
-
-
-def _glyph_features(path):
-    """The 48 features of the one glyph in a PBM file; ValueError if the
-    image holds another number of glyphs."""
-    img = _read(path)
-    boxes = segment(img)
-    if len(boxes) != 1:
-        raise ValueError(f"expected 1 glyph, found {len(boxes)}")
-    return extract_features(normalize_glyph(img, boxes[0]))
 
 
 def build_parser():
@@ -171,7 +161,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "features":
-        print(",".join(f"{v:.6f}" for v in _glyph_features(args.image)))
+        print(",".join(f"{v:.6f}" for v in extract_features(single_glyph(_read(args.image)))))
         return 0
 
     if cmd == "train":
@@ -182,7 +172,8 @@ def _run(args) -> int:
 
     if cmd == "classify":
         model = classify.load_model(args.model)
-        label, dist = classify.classify_1nn(_glyph_features(args.image), model)
+        label, dist = classify.classify_1nn(extract_features(single_glyph(_read(args.image))),
+                                            model)
         print(f"{label} {dist:.6f}")
         return 0
 

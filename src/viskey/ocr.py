@@ -57,6 +57,15 @@ def normalize_glyph(img: BitImage, box: Rect) -> np.ndarray:
     return normalize_glyphs(img, [box])[0]
 
 
+def single_glyph(img: BitImage) -> np.ndarray:
+    """The 32x32 bitmap of an image's one glyph; ValueError if `segment`
+    finds another number of glyphs."""
+    boxes = segment(img)
+    if len(boxes) != 1:
+        raise ValueError(f"expected 1 glyph, found {len(boxes)}")
+    return normalize_glyph(img, boxes[0])
+
+
 def geometric_moment(block, p: int, q: int):
     """m_pq = sum_x sum_y x^p y^q f(x, y) over the last two axes, with
     x = column, y = row; one moment per leading index."""

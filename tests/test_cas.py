@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import logging
+import shutil
 import socket
 import sys
 import tempfile
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
-                                 run_state_machine_as_test)
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule, run_state_machine_as_test)
 
 from conftest import blank
 from viskey import cas, denoise, vcs
@@ -1156,8 +1157,8 @@ class TestGroupTable:
     def test_failed_create_leaves_nothing(self, tmp_path, model, monkeypatch, failing):
         """A CREATE whose first save fails (here its first share write or its
         record write, each torn) answers `ERR internal` and leaves no group,
-        in the table or on disk; a FETCH that was waiting for the save
-        answers `ERR unknowngroup`, and a retried CREATE succeeds."""
+        in the table or on disk; a FETCH sent during the save answers
+        `ERR unknowngroup`, and a retried CREATE succeeds."""
         state_dir = tmp_path / "state"
         write_bytes, writes, gets = cas.Path.write_bytes, [], []
         with serving(state_dir, model) as srv:
@@ -1172,7 +1173,7 @@ class TestGroupTable:
                 writes.append(path.name)
                 if len(writes) < failing:
                     return write_bytes(path, data)
-                waiter.sock.sendall(b"FETCH g 1\n")  # finds the record, waits for its lock
+                waiter.sock.sendall(b"FETCH g 1\n")  # the group is not in the table yet
                 assert wait_until(lambda: len(gets) == 2)  # CREATE's lookup, then FETCH's
                 time.sleep(0.05)
                 _fail_after(10)(path, data)
@@ -1201,9 +1202,151 @@ class TestGroupTable:
         rec = cas.create_group("g", 2, 4, 1)
         assert cas.CasState(state_dir, model).get("g").shares == rec.shares
 
+    def test_slow_auth_blocks_nothing(self, server, monkeypatch):
+        """While an AUTH decodes, FETCH, SUBMIT and RESET of its group answer
+        at once. The held AUTH answers for the stack it read, the next AUTH
+        for the group's current one."""
+        decoding, release = threading.Event(), threading.Event()
+        decode_string = cas.decode_string
+
+        def held_decode(*args):
+            decoding.set()
+            assert release.wait(timeout=10)
+            return decode_string(*args)
+
+        c, other = client(server, timeout=10.0), client(server, timeout=5.0)
+        try:
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+            assert c.create("h", 2, 4, 2) == "OK h 2"
+            for m in (1, 2):
+                assert c.submit("g", m, c.fetch("g", m)[1]) == f"ACCEPTED {m}"
+            monkeypatch.setattr(cas, "decode_string", held_decode)
+            try:
+                c.sock.sendall(b"AUTH g\n")
+                assert decoding.wait(timeout=5)
+                assert other.fetch("g", 1)[0].startswith("SHARE g 1 ")
+                assert other.submit("g", 2, other.fetch("h", 2)[1]) == "ACCEPTED 2"
+                assert other.reset("g") == "OK"
+                assert not release.is_set()
+            finally:
+                release.set()
+            assert c.rfile.readline() == b"GRANTED g\n"
+            assert c.auth("g") == "DENIED g InsufficientShares"
+        finally:
+            c.close()
+            other.close()
+
+    def test_interleaved_saves_persist(self, tmp_path, model, monkeypatch):
+        """Two connections SUBMIT and RESET one group at once, with threads
+        switched as often as the interpreter allows and each write slowed,
+        then each SUBMITs one last member at the same moment: both are held,
+        and a restarted server loads what the server holds."""
+        state_dir = tmp_path / "state"
+        replies = []
+        together = threading.Barrier(2, timeout=10)
+        interval = sys.getswitchinterval()
+        write_bytes = cas.Path.write_bytes
+
+        def slow_write(path, data):
+            time.sleep(0.002)  # a save that does not wait for the lock overlaps this one
+            return write_bytes(path, data)
+
+        with serving(state_dir, model) as srv:
+            c = client(srv)
+            try:
+                assert c.create("g", 9, 2, 5) == "OK g 9"
+                shares = [pbm_payload(c.fetch("g", m)[1]) for m in range(1, 10)]
+            finally:
+                c.close()
+
+            def requests(members):
+                c = client(srv, timeout=10.0)
+                try:
+                    for i in range(30):
+                        m = members[i % 3]
+                        replies.append(c.reset("g") if i % 7 == 6
+                                       else c.submit("g", m, shares[m - 1]))
+                    together.wait()
+                    replies.append(c.submit("g", members[3], shares[members[3] - 1]))
+                finally:
+                    c.close()
+
+            threads = [threading.Thread(target=requests, args=(members,))
+                       for members in ((1, 2, 3, 4), (5, 6, 7, 8))]
+            monkeypatch.setattr(cas.Path, "write_bytes", slow_write)
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+                monkeypatch.undo()
+            assert not any(t.is_alive() for t in threads)
+            assert len(replies) == 62
+            assert all(r == "OK" or r.startswith("ACCEPTED ") for r in replies), replies
+            rec = srv.cas_state.get("g")
+            assert rec.version == 1 + len(replies)  # CREATE's save, then one per reply
+            assert {4, 8} <= set(rec.submissions)
+        loaded = cas.CasState(state_dir, model).get("g")
+        assert (loaded.submissions, loaded.version) == (rec.submissions, rec.version)
+
+    def test_empty_group_dir_moved_aside(self, tmp_path, model, caplog):
+        """A group directory with no whole record, as a crash between
+        CREATE's mkdir and its first save leaves, is moved aside at start-up
+        with one warning, and its id can be created again."""
+        state_dir = tmp_path / "state"
+        (state_dir / "g").mkdir(parents=True)
+        with caplog.at_level(logging.WARNING, logger="viskey.cas"):
+            with serving(state_dir, model) as srv:
+                c = client(srv)
+                try:
+                    assert c.fetch("g", 1)[0].startswith("ERR unknowngroup")
+                    assert c.create("g", 2, 4, 1) == "OK g 2"
+                finally:
+                    c.close()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "group g:" in warnings[0], warnings
+        created, aside = sorted(p.name for p in state_dir.iterdir())
+        assert aside.startswith("g.corrupt.") and created == "g"
+        assert list((state_dir / aside).iterdir()) == []
+        rec = cas.create_group("g", 2, 4, 1)
+        assert cas.CasState(state_dir, model).get("g").shares == rec.shares
+
+    def test_foreign_directory_refuses_create(self, server, tmp_path):
+        """A directory that appears for an unknown id while the server runs
+        holds the id: CREATE answers `ERR exists` and writes nothing into it."""
+        (tmp_path / "state" / "g").mkdir()
+        c = client(server)
+        try:
+            assert c.create("g", 2, 4, 1).startswith("ERR exists")
+            assert c.fetch("g", 1)[0].startswith("ERR unknowngroup")
+        finally:
+            c.close()
+        assert list((tmp_path / "state" / "g").iterdir()) == []
+        assert server.cas_state.get("g") is None
+
+    def test_create_refused_by_table_leaves_nothing(self, server, tmp_path, monkeypatch):
+        """A CREATE that reserves a directory for an id the table holds,
+        whose group directory vanished, answers `ERR exists` and removes
+        the directory it made; the table keeps its group."""
+        c = client(server)
+        try:
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+            held = server.cas_state.get("g")
+            shutil.rmtree(tmp_path / "state" / "g")
+            monkeypatch.setattr(server.cas_state, "get", lambda gid: None)  # CREATE's lookup misses
+            assert c.create("g", 2, 4, 2).startswith("ERR exists")
+        finally:
+            c.close()
+        monkeypatch.undo()
+        assert list((tmp_path / "state").iterdir()) == []
+        assert server.cas_state.get("g") is held
+
 
 GIDS = ("a", "b", "c")
-SUBMIT_KINDS = ("own", "foreign", "junk", "wrongsize")
+SUBMIT_KINDS = ("own", "foreign", "junk", "truncated", "wrongsize")
 # lines refused before any group is looked up, with the error code of each
 MALFORMED = (
     ("", "ERR empty"), (" \t", "ERR empty"), ("FROB a", "ERR unknown"),
@@ -1219,7 +1362,8 @@ class ProtocolMachine(RuleBasedStateMachine):
     predicts every reply. Each group maps to the record `create_group` makes
     in-process and to the kind of share each member submitted. Most rules
     use one connection, `self.c`; `auth_after_change` spreads its requests
-    over it and a second one, `self.c2`."""
+    over it and a second one, `self.c2`. The server's state directory is
+    the one entry of `self.tmp`."""
 
     def __init__(self, model):
         super().__init__()
@@ -1230,7 +1374,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         self._start()
 
     def _start(self):
-        self.srv = self.servers.enter_context(serving(Path(self.tmp.name), self.model))
+        self.srv = self.servers.enter_context(serving(Path(self.tmp.name) / "state", self.model))
         self.c = client(self.srv, timeout=10.0)
         self.c2 = client(self.srv, timeout=10.0)
 
@@ -1303,6 +1447,8 @@ class ProtocolMachine(RuleBasedStateMachine):
     def _payload(self, gid, member, kind):
         if kind == "junk":
             return b"garbage"
+        if kind == "truncated":  # the header claims 8 rows, 7 are sent
+            return write_pbm(blank(8, 8), "P4")[:-1]
         if kind == "wrongsize" or self._error(gid, member):
             return write_pbm(blank(8, 8), "P4")
         rec = self.groups[gid][0]
@@ -1325,7 +1471,8 @@ class ProtocolMachine(RuleBasedStateMachine):
 
     def _submit(self, gid, member, kind, c=None):
         reply = (c or self.c).submit(gid, member, self._payload(gid, member, kind))
-        error = self._error(gid, member) or ("ERR badpbm" if kind == "junk" else None)
+        error = self._error(gid, member) or ("ERR badpbm" if kind in ("junk", "truncated")
+                                             else None)
         if error:
             self._check(reply, error)
             return
@@ -1395,6 +1542,17 @@ class ProtocolMachine(RuleBasedStateMachine):
         self._check(self.c._request(request), error)
         self._fetch(*self._target(data))
 
+    @rule(data=st.data())
+    def oversized_submit(self, data):
+        """A SUBMIT that claims more than `MAX_PAYLOAD` bytes answers
+        `ERR payload` and the server closes the connection."""
+        gid, member = self._target(data)
+        self.c.sock.sendall(f"SUBMIT {gid} {member} {cas.MAX_PAYLOAD + 1}\n".encode())
+        assert self.c.rfile.readline().startswith(b"ERR payload ")
+        assert self.c.rfile.readline() == b""
+        self.c.close()
+        self.c = client(self.srv, timeout=10.0)
+
     @precondition(lambda self: self.groups)
     @rule(data=st.data(), verb=st.sampled_from(["SUBMIT", "RESET"]), k=st.integers(0, 4000))
     def failed_save(self, data, verb, k):
@@ -1413,6 +1571,10 @@ class ProtocolMachine(RuleBasedStateMachine):
         assert reply.startswith("ERR internal ")
         self.c.close()
         self.c = client(self.srv, timeout=10.0)
+
+    @invariant()
+    def writes_only_state_dir(self):
+        assert [p.name for p in Path(self.tmp.name).iterdir()] == ["state"]
 
     @rule()
     def restart(self):
