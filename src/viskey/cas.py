@@ -95,22 +95,25 @@ def generate_key(length: int, seed: int) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
 
+def key_layout(length: int, spacing: int = DEFAULT_SPACING) -> tuple:
+    """(height, width) of the key image of `length` glyphs, and each glyph's first
+    column: GLYPH_SIZE squares `spacing` columns apart, in a MARGIN white border."""
+    pitch = GLYPH_SIZE + spacing
+    shape = (2 * MARGIN + GLYPH_SIZE, 2 * MARGIN + length * pitch - spacing)
+    return shape, range(MARGIN, MARGIN + length * pitch, pitch)
+
+
 def render_key_image(key: str, font_id: str = DEFAULT_FONT,
                      spacing: int = DEFAULT_SPACING) -> BitImage:
-    """Lay the key's corpus glyphs on a white canvas, left to right, with
-    `spacing` blank columns between glyphs and a 2-pixel white margin."""
+    """Draw the key's corpus glyphs into the slots of its `key_layout`."""
     if not key:
         raise ValueError("empty key")
     if spacing < 2:
         raise ValueError("spacing must be >= 2 so glyphs stay separable")
-    glyphs = [render_variant(ch, font_id) for ch in key]
-    height = 2 * MARGIN + GLYPH_SIZE
-    width = 2 * MARGIN + sum(g.width for g in glyphs) + spacing * (len(glyphs) - 1)
-    canvas = np.zeros((height, width), dtype=np.uint8)
-    x = MARGIN
-    for g in glyphs:
-        canvas[MARGIN : MARGIN + g.height, x : x + g.width] = g.a
-        x += g.width + spacing
+    shape, columns = key_layout(len(key), spacing)
+    canvas = np.zeros(shape, dtype=np.uint8)
+    for ch, x in zip(key, columns):
+        canvas[MARGIN : MARGIN + GLYPH_SIZE, x : x + GLYPH_SIZE] = render_variant(ch, font_id).a
     return BitImage(canvas)
 
 
@@ -132,8 +135,8 @@ def _max_payload() -> int:
     A fetched file can be submitted as it is: SUBMIT ignores the bytes after
     the PBM."""
     p = vcs.scheme_params(vcs.MAX_SHARES)
-    secret = render_key_image("0" * MAX_KEY_LENGTH)
-    h, w = secret.height * p.block_h, secret.width * p.block_w
+    (h, w), _ = key_layout(MAX_KEY_LENGTH)
+    h, w = h * p.block_h, w * p.block_w
     sidecar = vcs.share_sidecar(p, (h, w), p.n, "x" * 64)
     return len(f"P4\n{w} {h}\n") + (w + 7) // 8 * h + len(sidecar)
 
@@ -198,11 +201,11 @@ def save_record(record: GroupRecord, state_dir, submissions=None) -> None:
     member in `submissions` (default: the record's own) a `submission <member>
     <nbytes>` line and its P4 bytes, then the `version` line. The record holds
     `submissions` only once they are written. The first save (version 0, from
-    `CREATE`) first makes the group directory and its share files."""
+    `CREATE`) makes the group directory, FileExistsError if taken, and shares."""
     submissions = record.submissions if submissions is None else submissions
     gdir = Path(state_dir) / record.group_id
     if record.version == 0:  # shares first: a group with a record has its shares
-        gdir.mkdir(parents=True, exist_ok=True)
+        gdir.mkdir(parents=True)
         for i, share in enumerate(record.shares, start=1):
             (gdir / f"share_{i}.pbm").write_bytes(share)
     data = [f"key {record.key}\nscheme {vcs.format_scheme(record.params)}\n".encode()]
@@ -389,18 +392,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 record = create_group(gid, n, key_len, seed)
             except ValueError as e:
                 raise ProtocolError("badscheme", str(e))
-            gdir = state.state_dir / gid
-            try:  # reserves the id: of two CREATEs, one makes the directory
-                gdir.mkdir()
-            except FileExistsError:
-                raise exists from None
-            try:
+            try:  # the save's mkdir reserves the id: of two CREATEs, one makes it
                 save_record(record, state.state_dir)
+            except FileExistsError:  # not ours: leave it
+                raise exists from None
             except BaseException:  # a group exists once saved, or not at all
-                shutil.rmtree(gdir, ignore_errors=True)
+                shutil.rmtree(state.state_dir / gid, ignore_errors=True)
                 raise
             if not state.add(record):  # the id is in the table, but its directory vanished
-                shutil.rmtree(gdir, ignore_errors=True)
+                shutil.rmtree(state.state_dir / gid, ignore_errors=True)
                 raise exists
             return f"OK {gid} {n}", b""
 

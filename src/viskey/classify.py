@@ -158,4 +158,6 @@ def load_model(path) -> Model:
         samples.append(LabeledSample(label, feats, source_id))
     if len(samples) != n_samples:
         raise ValueError(f"model file holds {len(samples)} samples, header says {n_samples}")
+    if not samples:  # nothing to match: every decode would fail
+        raise ValueError(f"model file {path} holds no samples")
     return Model(tuple(samples))

@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import itertools
 import logging
+import os
 import shutil
 import socket
+import subprocess
 import sys
 import tempfile
 import threading
@@ -23,7 +25,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
 from conftest import blank
 from viskey import cas, denoise, vcs
 from viskey.bitimage import read_pbm, write_pbm
-from viskey.ocr import segment
+from viskey.font import render_variant
+from viskey.ocr import GLYPH_SIZE, segment
 
 
 class TestGenerateKey:
@@ -66,6 +69,37 @@ class TestRenderKeyImage:
     def test_spacing_too_small(self):
         with pytest.raises(ValueError):
             cas.render_key_image("AB", spacing=1)
+
+    @pytest.mark.parametrize("font_id", ["f0", "f8", "f9"])
+    @pytest.mark.parametrize("spacing", [2, 4, 7])
+    @pytest.mark.parametrize("length", [1, 2, 16])
+    def test_glyphs_fill_layout_slots(self, length, spacing, font_id):
+        """The image has `key_layout`'s shape, each slot holds its corpus
+        glyph as drawn, and every pixel outside the slots is white."""
+        shape, columns = cas.key_layout(length, spacing)
+        pitch = GLYPH_SIZE + spacing
+        assert shape == (36, 4 + length * pitch - spacing)
+        assert list(columns) == [2 + i * pitch for i in range(length)]
+        key = cas.generate_key(length, length)
+        img = cas.render_key_image(key, font_id, spacing)
+        assert img.a.shape == shape
+        rest = img.a.copy()
+        for ch, x in zip(key, columns):
+            slot = (slice(2, 2 + GLYPH_SIZE), slice(x, x + GLYPH_SIZE))
+            assert np.array_equal(rest[slot], render_variant(ch, font_id).a)
+            rest[slot] = 0
+        assert not rest.any()
+
+    def test_import_draws_no_glyph(self):
+        """Importing `viskey.cas` sizes its bounds from `key_layout`, drawing no glyph."""
+        src = str(Path(cas.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import viskey.cas, viskey.font; "
+             "print(viskey.font.render_variant.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
 
 
 class TestCreateGroup:
@@ -1313,6 +1347,23 @@ class TestGroupTable:
         assert list((state_dir / aside).iterdir()) == []
         rec = cas.create_group("g", 2, 4, 1)
         assert cas.CasState(state_dir, model).get("g").shares == rec.shares
+
+    def test_create_makes_one_directory(self, server, monkeypatch):
+        """CREATE's first save makes the group directory, which reserves the
+        id; nothing else makes or re-makes it."""
+        made, mkdir = [], cas.Path.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(cas.Path, "mkdir", counting_mkdir)
+        c = client(server)
+        try:
+            assert c.create("g", 2, 4, 1) == "OK g 2"
+        finally:
+            c.close()
+        assert made == [server.cas_state.state_dir / "g"]
 
     def test_foreign_directory_refuses_create(self, server, tmp_path):
         """A directory that appears for an unknown id while the server runs

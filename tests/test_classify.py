@@ -261,6 +261,14 @@ class TestModelPersistence:
         with pytest.raises(ValueError):
             classify.load_model(path)
 
+    def test_no_samples(self, tmp_path):
+        """A model with no samples would fail every decode; it is refused on load."""
+        path = tmp_path / "model.txt"
+        path.write_text("viskey-model 48 0\n")
+        with pytest.raises(ValueError) as e:
+            classify.load_model(path)
+        assert str(e.value) == f"model file {path} holds no samples"
+
 
 class TestDecodeString:
     def test_all_white(self, model):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from test_cas import serving
 
-from viskey import classify, vcs
+from viskey import cas, classify, vcs
 from viskey.bitimage import downsample_majority, read_pbm, write_pbm
 from viskey.cli import run_cli
 from viskey.font import render_variant
@@ -199,6 +199,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, *argv, "--corpus", "glyphs")
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_serve_refuses_empty_model(self, capsys, tmp_path, monkeypatch):
+        """`serve` with a model of no samples exits 1 before it listens."""
+        monkeypatch.chdir(tmp_path)
+        Path("m.txt").write_text("viskey-model 48 0\n")
+        served = []
+        monkeypatch.setattr(cas, "serve", lambda *args: served.append(args))
+        code, _, err = run(capsys, "serve", "--port", "1", "--state", "st", "--model", "m.txt")
+        assert (code, err) == (1, "error: model file m.txt holds no samples\n")
+        assert served == []
 
 
 class TestDemo:
