@@ -257,10 +257,10 @@ def load_record(group_id: str, state_dir) -> GroupRecord:
     params = vcs.parse_scheme(fields["scheme"].split())
     shares = tuple(_canonical_p4((gdir / f"share_{i}.pbm").read_bytes())
                    for i in range(1, params.n + 1))
-    h, w = _p4_shape(shares[0])
-    if (any(_p4_shape(s) != (h, w) for s in shares)
-            or h % params.block_h or w % params.block_w):
-        raise ValueError(f"shares differ in size or do not tile into {params.m}-subpixel blocks")
+    shape = _p4_shape(shares[0])
+    if any(_p4_shape(s) != shape for s in shares):
+        raise ValueError("shares differ in size")
+    params.secret_shape(shape)  # a DimensionError unless they tile into blocks
     legacy = [int(v) for v in fields.get("submitted", "").split()]
     members = [m for m, _ in inline] + legacy
     if len(set(members)) != len(members) or not all(1 <= i <= params.n for i in members):

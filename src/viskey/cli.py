@@ -43,7 +43,6 @@ def build_parser():
     p.add_argument("--scheme", type=int, required=True, help="share count n")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--group-id", default="-")
 
     p = sub.add_parser("reconstruct", help="OR-stack share PBMs")
     p.add_argument("shares", nargs="+")
@@ -136,7 +135,7 @@ def _run(args) -> int:
         for i, share in enumerate(vcs.encode(secret, params, args.seed), start=1):
             _write(f"{args.out_prefix}_{i}.pbm", share, "P4")
             Path(f"{args.out_prefix}_{i}.txt").write_text(
-                vcs.share_sidecar(params, share.a.shape, i, args.group_id)
+                vcs.share_sidecar(params, share.a.shape, i, "-")
             )
         print(f"wrote {params.n} shares to {args.out_prefix}_*.pbm")
         return 0
@@ -149,9 +148,9 @@ def _run(args) -> int:
     if cmd == "denoise":
         img = _read(args.image)
         params, sw, sh, *_ = vcs.parse_sidecar(Path(args.sidecar).read_text())
-        if (img.width, img.height) != (sw * params.block_w, sh * params.block_h):
-            raise DimensionError(f"stack is {img.width}x{img.height}, the sidecar's shares are "
-                                 f"{sw * params.block_w}x{sh * params.block_h}")
+        h, w = params.secret_shape(img.a.shape)
+        if (h, w) != (sh, sw):
+            raise DimensionError(f"stack is {w}x{h} blocks, the sidecar's secret is {sw}x{sh}")
         _write(args.out, adaptive_filter(img, params), "P1")
         return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitimage import BitImage, DimensionError
+from .bitimage import BitImage
 from .vcs import SchemeParams
 
 # odd window sizes, grown by an even step so every window stays centred
@@ -40,10 +40,8 @@ def decide_blocks(img: BitImage, params: SchemeParams) -> BitImage:
     """One pixel per block (see the module docstring). The windowed filter
     runs only at the subpixels of blocks whose count is not a legal weight."""
     bh, bw = params.block_h, params.block_w
-    h, w = img.a.shape
-    if h % bh or w % bw:
-        raise DimensionError(f"{w}x{h} not divisible into {bh}x{bw} blocks")
-    counts = img.a.reshape(h // bh, bh, w // bw, bw).sum(axis=(1, 3))
+    h, w = params.secret_shape(img.a.shape)
+    counts = img.a.reshape(h, bh, w, bw).sum(axis=(1, 3))
     colour = np.full(bh * bw + 1, -1, dtype=np.int8)  # count -> 0 white, 1 black, -1 noise
     colour[list(params.white)] = 0
     colour[list(params.black)] = 1

@@ -17,7 +17,6 @@ from .bitimage import BitImage, Rect
 from .ocr import normalize_glyph
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-FONT_IDS = tuple(f"f{i}" for i in range(10))
 
 # 5 columns x 7 rows, '#' = ink. Confusable pairs are deliberately separated:
 # 0 carries an inner diagonal, 1 and I differ in their top, B and D have a
@@ -96,36 +95,32 @@ def _shear(a, direction, maxshift=2):
     return _dilate(out, 0, 1)
 
 
+# font id -> transform of the 5x7 base, in f0 ... f9 order
+_VARIANTS = {
+    "f0": lambda b: _upscale(b, 3),
+    "f1": lambda b: _shear(_upscale(b, 4), +1, maxshift=1),  # near-upright slant
+    "f2": lambda b: _dilate(_upscale(b, 3), 1, 1),
+    "f3": lambda b: _dilate(_upscale(b, 4), 1, 1),
+    "f4": lambda b: _shear(_upscale(b, 3), +1),
+    "f5": lambda b: _shear(_upscale(b, 3), -1),
+    "f6": lambda b: _dilate(_upscale(b, 3), 0, 1),  # horizontally bold
+    "f7": lambda b: _dilate(_upscale(b, 3), 1, 0),  # vertically bold
+    "f8": lambda b: _upscale(b, 5)[:, ::2],  # condensed
+    "f9": lambda b: _dilate(_upscale(b, 5), 2, 2),  # heavy
+}
+FONT_IDS = tuple(_VARIANTS)
+
+
 @functools.cache  # BitImage is immutable; at most 360 glyphs
 def render_variant(label: str, font_id: str) -> BitImage:
     """One 32x32 corpus bitmap: base glyph -> variant transform -> its ink
     box stretched to the classification grid by `ocr.normalize_glyph`, the
     step that also reads every glyph of a stacked key image. Each is drawn
     once per process."""
-    if font_id not in FONT_IDS:
+    transform = _VARIANTS.get(font_id)
+    if transform is None:
         raise ValueError(f"unknown font id {font_id!r}")
-    base = base_glyph(label)
-    i = FONT_IDS.index(font_id)
-    if i == 0:
-        a = _upscale(base, 3)
-    elif i == 1:
-        a = _shear(_upscale(base, 4), +1, maxshift=1)  # near-upright slant
-    elif i == 2:
-        a = _dilate(_upscale(base, 3), 1, 1)
-    elif i == 3:
-        a = _dilate(_upscale(base, 4), 1, 1)
-    elif i == 4:
-        a = _shear(_upscale(base, 3), +1)
-    elif i == 5:
-        a = _shear(_upscale(base, 3), -1)
-    elif i == 6:
-        a = _dilate(_upscale(base, 3), 0, 1)  # horizontally bold
-    elif i == 7:
-        a = _dilate(_upscale(base, 3), 1, 0)  # vertically bold
-    elif i == 8:
-        a = _upscale(base, 5)[:, ::2]  # condensed
-    else:
-        a = _dilate(_upscale(base, 5), 2, 2)  # heavy
+    a = transform(base_glyph(label))
     rows = np.flatnonzero(a.any(axis=1))
     cols = np.flatnonzero(a.any(axis=0))
     box = Rect(int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitimage import BitImage, or_merge
+from .bitimage import BitImage, DimensionError, or_merge
 
 TWO_OF_TWO = "2of2"
 TWO_OF_N = "2ofn"
@@ -38,6 +38,14 @@ class SchemeParams:
     def black(self) -> tuple:
         """Those of a black block: 2t-3 (two shares) up to m (2-of-2: 2)."""
         return (2,) if self.variant == TWO_OF_TWO else tuple(range(2 * self.t - 3, self.m + 1))
+
+    def secret_shape(self, share_shape) -> tuple:
+        """(height, width) of the secret behind a share or stack of this
+        shape, one pixel per block; DimensionError if it does not tile."""
+        (h, w), bh, bw = share_shape, self.block_h, self.block_w
+        if h % bh or w % bw:
+            raise DimensionError(f"{w}x{h} not divisible into {bh}x{bw} blocks")
+        return h // bh, w // bw
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ def parse_scheme(fields) -> SchemeParams:
 
 def share_sidecar(params: SchemeParams, shape, share_index, group_id) -> str:
     """One-line text header accompanying a serialized share of shape (h, w)."""
-    secret_w, secret_h = shape[1] // params.block_w, shape[0] // params.block_h
+    secret_h, secret_w = params.secret_shape(shape)
     return f"{format_scheme(params)} {secret_w} {secret_h} {share_index} {group_id}\n"
 
 

@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import re
+import shlex
 import socket
 import threading
 from pathlib import Path
@@ -37,6 +39,24 @@ def _stack(capsys, tmp_path, n):
     merged = tmp_path / f"merged{n}.pbm"
     run(capsys, "reconstruct", prefix + "_1.pbm", prefix + "_2.pbm", "--out", str(merged))
     return key_pbm, merged, prefix + "_1.txt"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_tour_runs_as_written(capsys, tmp_path, monkeypatch):
+    """Every `viskey` line of the README's command-line tour exits 0, in
+    order, and prints what its `# -> X` note says."""
+    tour = re.search(r"## Command-line tour\n.*?```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for line in tour.group(1).splitlines() if line.startswith("viskey ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, note = line.partition("# ->")
+        code, out, err = run(capsys, *shlex.split(command, comments=True)[1:])
+        assert code == 0, (line, err)
+        if note:
+            assert out.strip() == note.strip(), line
 
 
 class TestKeygen:
@@ -164,6 +184,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "denoise", str(merged), *sidecar_args,
                          "--out", str(tmp_path / "clean.pbm"))
         assert code == 2
+
+    def test_encode_group_id_removed(self, capsys, tmp_path):
+        key = tmp_path / "k.pbm"
+        run(capsys, "render", "A", "--out", str(key))
+        code, _, _ = run(capsys, "encode", str(key), "--scheme", "2", "--seed", "1",
+                         "--out-prefix", str(tmp_path / "s"), "--group-id", "g")
+        assert code == 2
+        assert not list(tmp_path.glob("s_*"))
 
     @pytest.mark.parametrize("stack_n,sidecar_n", [(2, 9), (9, 21)])
     def test_denoise_wrong_scheme_sidecar(self, capsys, tmp_path, stack_n, sidecar_n):

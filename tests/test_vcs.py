@@ -6,6 +6,7 @@ import pytest
 
 from conftest import blank, random_image
 from viskey import vcs
+from viskey.bitimage import DimensionError
 
 # Frozen fixture: s1 of the t=3 scheme in surviving-column order,
 # rows v1..v9 over blocks B1..B6.
@@ -44,6 +45,20 @@ class TestSchemeParams:
             assert p.m == n * (n - 3) // 9 == p.t * (p.t - 1)
             assert p.block_h * p.block_w == p.m
             assert p.block_h <= p.block_w
+
+    @pytest.mark.parametrize("n", [2, *range(9, vcs.MAX_SHARES + 1, 3)])
+    def test_secret_shape(self, n):
+        """One secret pixel per block of an encoded share; a share one
+        column wider, or one row taller, does not tile."""
+        p = vcs.scheme_params(n)
+        share = vcs.encode(random_image(np.random.default_rng(n), 5, 3), p, 1)[0]
+        h, w = share.a.shape
+        assert p.secret_shape((h, w)) == (3, 5)
+        with pytest.raises(DimensionError):
+            p.secret_shape((h, w + 1))
+        if p.block_h > 1:
+            with pytest.raises(DimensionError):
+                p.secret_shape((h + 1, w))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 36, 42])
     def test_inadmissible(self, n):
